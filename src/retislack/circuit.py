@@ -57,8 +57,7 @@ class Circuit:
                 raise CircuitError(f"edge ({e.src}, {e.dst}) references unknown gate")
             if e.w < 0:
                 raise CircuitError(f"edge ({e.src}, {e.dst}): negative FF count {e.w}")
-        # forces the combinational-cycle check
-        self.zero_ff_topo
+        arrivals(self, self.delays)  # raises on a combinational cycle
 
     @property
     def n(self) -> int:
@@ -94,15 +93,6 @@ class Circuit:
         """Gates with no fanout are treated as primary outputs."""
         return frozenset(i for i in range(self.n) if not self.fanout[i])
 
-    @cached_property
-    def zero_ff_topo(self) -> tuple[int, ...]:
-        """Topological order of the zero-FF subgraph."""
-        weights = [e.w for e in self.edges]
-        order = _topo_order(self.n, self.edges, weights)
-        if order is None:
-            raise CircuitError("combinational cycle (zero-FF cycle)")
-        return tuple(order)
-
     def gate_id(self, name: str) -> int:
         return self._name_index[name]
 
@@ -115,28 +105,6 @@ class Circuit:
         return sum(e.w for e in self.edges)
 
 
-def _topo_order(n, edges, weights):
-    """Kahn's algorithm on the subgraph of edges with weight 0; None on a cycle."""
-    indeg = [0] * n
-    adj = [[] for _ in range(n)]
-    for e, w in zip(edges, weights):
-        if w == 0:
-            indeg[e.dst] += 1
-            adj[e.src].append(e.dst)
-    stack = [i for i in range(n) if indeg[i] == 0]
-    order = []
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in adj[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                stack.append(v)
-    if len(order) != n:
-        return None
-    return order
-
-
 @dataclass(frozen=True)
 class TimingReport:
     period: int
@@ -145,68 +113,78 @@ class TimingReport:
     slack: tuple[int, ...]
 
 
-def arrivals(c: Circuit, eff, weights=None, order=None):
+def _forward(c: Circuit, eff, weights):
+    """Zero-FF topological order and latest arrival time per gate.
+
+    Kahn's algorithm over the edges whose weight is 0, relaxing each gate's
+    fanout as it is popped.  Raises CircuitError on a zero-FF cycle.
+    """
+    n = c.n
+    edges = c.edges
+    indeg = [0] * n
+    for k, w in enumerate(weights):
+        if w == 0:
+            indeg[edges[k].dst] += 1
+    a = [0] * n  # latest fanin arrival until the gate is popped
+    stack = [i for i in range(n) if indeg[i] == 0]
+    order = []
+    fanout = c.fanout
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        au = a[u] + eff[u]
+        a[u] = au
+        for k in fanout[u]:
+            if weights[k] == 0:
+                v = edges[k].dst
+                if au > a[v]:
+                    a[v] = au
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    stack.append(v)
+    if len(order) != n:
+        raise CircuitError("combinational cycle (zero-FF cycle)")
+    return order, a
+
+
+def arrivals(c: Circuit, eff, weights=None) -> list[int]:
     """Latest arrival time per gate under effective delays `eff`.
 
-    `weights` optionally overrides the per-edge FF counts (used while a
-    retiming is being searched); `order` is a matching zero-FF topological
-    order.  Arrival is the gate's own effective delay plus the maximum
+    `weights` optionally overrides the per-edge FF counts (a retiming's
+    weights).  Arrival is the gate's own effective delay plus the maximum
     arrival over zero-FF fanin edges.
     """
     if weights is None:
         weights = [e.w for e in c.edges]
-    if order is None:
-        order = _topo_order(c.n, c.edges, weights)
-        if order is None:
-            raise CircuitError("combinational cycle (zero-FF cycle)")
-    a = [0] * c.n
-    edges = c.edges
-    for i in order:
-        best = 0
-        for k in c.fanin[i]:
-            if weights[k] == 0:
-                aj = a[edges[k].src]
-                if aj > best:
-                    best = aj
-        a[i] = best + eff[i]
-    return a
+    return _forward(c, eff, weights)[1]
 
 
-def sta(c: Circuit, T: int, eff=None) -> TimingReport:
+def sta(c: Circuit, T: int, eff=None, weights=None) -> TimingReport:
     """Arrival / required / slack per gate at clock period T.
 
     eff is the per-gate effective delay (delay plus any granted slack);
-    defaults to the raw gate delays.
+    defaults to the raw gate delays.  `weights` overrides the per-edge FF
+    counts as in `arrivals`.
     """
     if eff is None:
         eff = c.delays
     for i, e in enumerate(eff):
         if e < 0:
             raise CircuitError(f"gate {c.gates[i].name}: negative effective delay")
-    order = c.zero_ff_topo
-    a = arrivals(c, eff, order=order)
-    weights = [e.w for e in c.edges]
+    if weights is None:
+        weights = [e.w for e in c.edges]
+    order, a = _forward(c, eff, weights)
     g = [T] * c.n
     edges = c.edges
     for i in reversed(order):
-        best = None
         for k in c.fanout[i]:
             if weights[k] == 0:
                 j = edges[k].dst
                 v = g[j] - eff[j]
-                if best is None or v < best:
-                    best = v
-        if best is not None:
-            g[i] = best
+                if v < g[i]:
+                    g[i] = v
     s = [g[i] - a[i] for i in range(c.n)]
     return TimingReport(T, tuple(a), tuple(g), tuple(s))
-
-
-def period_feasible(c: Circuit, T: int, eff=None) -> bool:
-    """True iff every arrival time is within the clock period."""
-    if eff is None:
-        eff = c.delays
-    return max(arrivals(c, eff)) <= T
 
 
 def parse_circuit(text: str) -> Circuit:

@@ -9,17 +9,16 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 
-from .circuit import (Circuit, CircuitError, generate_random, parse_circuit,
-                      period_feasible, sta)
+from .circuit import Circuit, CircuitError, generate_random, parse_circuit, sta
 from .exact import brute_force
 from .mcf import SolverError
 from .power import CurveError, load_curves
-from .recovery import (InfeasiblePeriodError, RecoveryError, min_slack_period,
-                       run_pipeline)
+from .recovery import InfeasiblePeriodError, RecoveryError, run_pipeline
 from .retime import feasible_retiming, min_period
 from .transform import TransformError
 
@@ -117,10 +116,8 @@ _BENCH_FIELDS = ["name", "gates", "edges", "Tmin", "power_flow", "power_oracle",
 
 
 def cmd_bench(args) -> int:
-    from .circuit import render_circuit  # noqa: F401  (reserved for --dir dumps)
     cases = []
     if args.dir:
-        import os
         for fn in sorted(os.listdir(args.dir)):
             if fn.endswith(".ckt"):
                 cases.append((fn[:-4], _load_circuit(os.path.join(args.dir, fn))))

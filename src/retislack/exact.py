@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuit import Circuit, arrivals, _topo_order
+from .circuit import Circuit, arrivals
 from .power import PowerSlackCurve
 from .retime import Retiming, feasible_retiming
 
@@ -133,40 +133,7 @@ def oracle_min_period(c: Circuit, eff=None) -> int:
     roots = {comp[0] for comp in comps}
     labels = [0] * n
     assigned = [False] * n
-    m = len(c.edges)
-    wcur = [0] * m  # valid once both endpoints are assigned
-
-    in_edges = [[] for _ in range(n)]
-    out_edges = [[] for _ in range(n)]
-    for k, e in enumerate(c.edges):
-        in_edges[e.dst].append(k)
-        out_edges[e.src].append(k)
-
-    def induced_period() -> int | None:
-        """Longest zero-FF arrival among assigned gates; None on a cycle."""
-        nodes = [u for u in range(n) if assigned[u]]
-        indeg = {u: 0 for u in nodes}
-        adj = {u: [] for u in nodes}
-        for k, e in enumerate(c.edges):
-            if assigned[e.src] and assigned[e.dst] and wcur[k] == 0 \
-                    and e.src != e.dst:
-                indeg[e.dst] += 1
-                adj[e.src].append((k, e.dst))
-        stack = [u for u in nodes if indeg[u] == 0]
-        a = {u: eff[u] for u in nodes}
-        done = 0
-        while stack:
-            u = stack.pop()
-            done += 1
-            for k, v in adj[u]:
-                if a[u] + eff[v] > a[v]:
-                    a[v] = a[u] + eff[v]
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    stack.append(v)
-        if done != len(nodes):
-            return None  # zero-FF cycle: no completion is legal
-        return max(a.values(), default=0)
+    wcur = [0] * len(c.edges)  # valid once both endpoints are assigned
 
     # the zero retiming is always legal: its period is the first incumbent
     best = [max(arrivals(c, eff))]
@@ -177,18 +144,18 @@ def oracle_min_period(c: Circuit, eff=None) -> int:
             lo = hi = 0
         else:
             lo, hi = -bound, bound
-            for k in in_edges[u]:
+            for k in c.fanin[u]:
                 e = c.edges[k]
                 if e.src != u and assigned[e.src]:
                     lo = max(lo, labels[e.src] - e.w)
-            for k in out_edges[u]:
+            for k in c.fanout[u]:
                 e = c.edges[k]
                 if e.dst != u and assigned[e.dst]:
                     hi = min(hi, labels[e.dst] + e.w)
         for lab in range(lo, hi + 1):
             labels[u] = lab
             ok = True
-            for k in in_edges[u]:
+            for k in c.fanin[u]:
                 e = c.edges[k]
                 if e.src == u:
                     wcur[k] = e.w  # self-loop weight never moves
@@ -199,7 +166,7 @@ def oracle_min_period(c: Circuit, eff=None) -> int:
                         break
                     wcur[k] = w
             if ok:
-                for k in out_edges[u]:
+                for k in c.fanout[u]:
                     e = c.edges[k]
                     if e.dst != u and assigned[e.dst]:
                         w = e.w + labels[e.dst] - lab
@@ -209,8 +176,13 @@ def oracle_min_period(c: Circuit, eff=None) -> int:
                         wcur[k] = w
             if ok:
                 assigned[u] = True
-                p = induced_period()
-                if p is not None and p < best[0]:
+                # longest zero-FF arrival among the assigned gates; an edge
+                # with an unassigned end counts as carrying an FF (a legal
+                # partial retiming leaves no zero-FF cycle)
+                a = arrivals(c, eff, [wcur[k] if assigned[e.src] and assigned[e.dst]
+                                      else 1 for k, e in enumerate(c.edges)])
+                p = max(a[v] for v in seq if assigned[v])
+                if p < best[0]:
                     if i + 1 == len(seq):
                         best[0] = p
                     else:

@@ -205,7 +205,7 @@ def ssp_oracle(net: FlowNetwork) -> FlowSolution:
                         time.perf_counter() - t0)
 
 
-def _spfa(n, head, cost, res, adj, sources, cap_rounds=None):
+def _spfa(n, head, cost, res, adj, sources):
     """Label-correcting shortest paths over residual arcs from a source set."""
     dist = [None] * n
     parent = [None] * n
@@ -216,7 +216,6 @@ def _spfa(n, head, cost, res, adj, sources, cap_rounds=None):
         dist[s] = 0
         inq[s] = True
         q.append(s)
-    limit = cap_rounds if cap_rounds is not None else n + 1
     while q:
         u = q.popleft()
         inq[u] = False
@@ -231,7 +230,7 @@ def _spfa(n, head, cost, res, adj, sources, cap_rounds=None):
                 parent[v] = a
                 if not inq[v]:
                     relax[v] += 1
-                    if relax[v] > limit:
+                    if relax[v] > n + 1:
                         raise SolverError("negative cycle in residual network")
                     inq[v] = True
                     q.append(v)

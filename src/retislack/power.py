@@ -37,12 +37,6 @@ class PowerSlackCurve:
         return len(self.levels)
 
 
-@dataclass(frozen=True)
-class QCurve(PowerSlackCurve):
-    """Curve with every level left of the power minimum flattened to it."""
-    s_star: int = 0
-
-
 def make_curve(pairs, gate=None) -> PowerSlackCurve:
     levels = tuple((int(s), Fraction(p)) for s, p in pairs)
     c = PowerSlackCurve(levels, gate)
@@ -77,19 +71,18 @@ def breakpoints(curve: PowerSlackCurve) -> list[Fraction]:
     return [(p[q - 1] - p[q]) / (s[q] - s[q - 1]) for q in range(1, len(s))]
 
 
-def q_transform(curve: PowerSlackCurve) -> QCurve:
+def q_transform(curve: PowerSlackCurve) -> PowerSlackCurve:
     """Flatten the curve left of its power minimum.
 
-    The minimum-power slack (smallest such slack on ties) becomes s_star;
-    levels at or below it take the minimum power, levels above keep theirs.
-    Idempotent.
+    Levels at or below the minimum-power slack (the smallest such slack on
+    ties) take the minimum power, levels above keep theirs.  Idempotent.
     """
     powers = curve.powers
     pmin = min(powers)
     idx = powers.index(pmin)
     s_star = curve.slacks[idx]
     levels = tuple((s, pmin if s <= s_star else p) for s, p in curve.levels)
-    return QCurve(levels, curve.gate, s_star)
+    return PowerSlackCurve(levels, curve.gate)
 
 
 def penalty_divisor(c: Circuit, j: int) -> int:
@@ -148,7 +141,3 @@ def load_curves(text: str, c: Circuit) -> dict[int, PowerSlackCurve]:
             raise CurveError(f"no curve for gate {g.name} and no default")
         out[g.id] = PowerSlackCurve(cur.levels, g.id)
     return out
-
-
-def render_curves(curves: dict[str, list[list[int]]]) -> str:
-    return json.dumps(curves, indent=2, sort_keys=True) + "\n"

@@ -16,12 +16,12 @@ from fractions import Fraction
 from .circuit import Circuit, arrivals, sta
 from .mcf import Potentials, residual_potentials, solve_mcf, ssp_oracle
 from .power import PowerSlackCurve
-from .retime import Retiming, _feas, retimed_weights
+from .retime import Retiming, _feas, min_period, retimed_weights
 from .transform import DualGraph, expand, split_graph
 
 
 class RecoveryError(RuntimeError):
-    """Neither dual orientation yields a feasible slack system."""
+    """Recovered duals violate a constraint, or a result fails re-verification."""
 
 
 class InfeasiblePeriodError(ValueError):
@@ -63,36 +63,25 @@ class BudgetResult:
 def recover_duals(g: DualGraph, pot: Potentials):
     """Potentials and edge slack values satisfying the dual constraint set.
 
-    Both sign conventions of the shortest-path distances are tried; the one
-    whose potential differences cover every edge's lower slack bound wins.
-    Returns (mu, s) where s maps dual edge index -> slack value for every
-    E1/E2 edge.
+    The potentials are the negated shortest-path distances, shifted so the
+    smallest is 0; every E1/E2/E3 edge's potential difference must cover its
+    lower slack bound.  Returns (mu, s) where s maps dual edge index ->
+    slack value for every E1/E2 edge.
     """
-    best = None
-    for sign in (-1, 1):
-        mu = [sign * d for d in pot.dist]
-        base = min(mu)
-        mu = [x - base for x in mu]
-        mu = [min(max(x, 0), g.nff_bar) for x in mu]
-        s = {}
-        ok = True
-        for k, e in enumerate(g.edges):
-            gap = mu[e.dst] - mu[e.src]
-            if e.kind in ("E1", "E2"):
-                if gap < e.lower:
-                    ok = False
-                    break
-                s[k] = min(e.upper, gap)
-            elif e.kind == "E3" and gap < e.lower:
-                ok = False
-                break
-        if ok:
-            best = (tuple(mu), s)
-            break
-    if best is None:
-        raise RecoveryError(
-            f"no feasible dual orientation; potentials={pot.dist}")
-    return best
+    top = max(pot.dist)
+    mu = tuple(top - d for d in pot.dist)
+    s = {}
+    for k, e in enumerate(g.edges):
+        if e.kind == "E4":
+            continue
+        gap = mu[e.dst] - mu[e.src]
+        if gap < e.lower:
+            raise RecoveryError(
+                f"recovered duals infeasible: {e.kind} edge {k} gap {gap} "
+                f"below its lower bound {e.lower}; potentials={pot.dist}")
+        if e.kind != "E3":
+            s[k] = min(e.upper, gap)
+    return mu, s
 
 
 def recover_slacks(g: DualGraph, c: Circuit, s_vals: dict) -> list[int]:
@@ -158,9 +147,9 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
             if not ok:
                 raise InfeasiblePeriodError(
                     f"period {T} infeasible even at minimum slack")
+        weights = retimed_weights(c, r)
         if ok:
-            weights = retimed_weights(c, r)
-            ach = max(arrivals(c, eff, weights=weights))
+            ach = max(arrivals(c, eff, weights))
             powers = tuple(curves[j].powers[q] for j, q in enumerate(levels))
             final = SlackAssignment(tuple(levels), tuple(slacks), powers)
             return BudgetResult(final, r, T, ach,
@@ -168,10 +157,9 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
         # drain violations under this (fixed) retiming attempt; the budget
         # doubles each retry so feasibility searches stay logarithmic in
         # the number of repairs while early repairs remain one at a time
-        weights = retimed_weights(c, r)
         steps = 0
         while steps < budget:
-            rep = _slacks_under(c, T, eff, weights)
+            rep = sta(c, T, eff, weights).slack
             if min(rep) >= 0:
                 break
             cands = []
@@ -194,24 +182,8 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
         budget *= 2
 
 
-def _slacks_under(c, T, eff, weights):
-    from .circuit import _topo_order
-    order = _topo_order(c.n, c.edges, weights)
-    a = arrivals(c, eff, weights=weights, order=order)
-    g = [T] * c.n
-    for i in reversed(order):
-        for k in c.fanout[i]:
-            if weights[k] == 0:
-                j = c.edges[k].dst
-                v = g[j] - eff[j]
-                if v < g[i]:
-                    g[i] = v
-    return [g[i] - a[i] for i in range(c.n)]
-
-
 def min_slack_period(c: Circuit, curves: dict[int, PowerSlackCurve]):
     """Minimum period and witness retiming at every gate's smallest level."""
-    from .retime import min_period
     eff = [c.delays[j] + curves[j].slacks[0] for j in range(c.n)]
     return min_period(c, eff)
 
@@ -257,10 +229,9 @@ def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
 
 def verify_result(c: Circuit, result: BudgetResult) -> None:
     """Independent re-verification: legal retiming and period met."""
-    from .retime import apply_retiming
-    retimed = apply_retiming(c, result.retiming)  # raises if illegal
+    weights = retimed_weights(c, result.retiming)  # raises if illegal
     eff = [c.delays[j] + result.assignment.slacks[j] for j in range(c.n)]
-    rep = sta(retimed, result.period, eff)
+    rep = sta(c, result.period, eff, weights)
     if max(rep.arrival) > result.period:
         raise RecoveryError("re-verification failed: period violated")
     if max(rep.arrival) != result.achieved_period:

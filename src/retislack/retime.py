@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Edge, arrivals, _topo_order
+from .circuit import Circuit, Edge, arrivals
 
 
 class RetimingError(ValueError):
@@ -56,8 +56,7 @@ def _feas(c: Circuit, T: int, eff,
     weights = [e.w for e in c.edges]
     rounds = n + 1 if max_rounds is None else min(n + 1, max_rounds)
     for _ in range(rounds):
-        order = _topo_order(n, c.edges, weights)
-        a = arrivals(c, eff, weights=weights, order=order)
+        a = arrivals(c, eff, weights)
         bad = [i for i in range(n) if a[i] > T]
         if not bad:
             base = min(r)

@@ -191,40 +191,3 @@ def expand(g: DualGraph) -> FlowNetwork:
             arcs.append(Arc(e.dst, e.src, -g.nff_bar, 0, big, (k, 0)))
             arcs.append(Arc(e.src, e.dst, 0, 0, big, (k, 1)))
     return FlowNetwork(g.n_nodes, tuple(arcs), scale, m_cap, m_cost)
-
-
-def dimacs_dump(net: FlowNetwork) -> str:
-    """DIMACS min-cost-flow text form (1-indexed nodes, zero supplies)."""
-    out = [f"p min {net.n_nodes} {len(net.arcs)}"]
-    for i in range(net.n_nodes):
-        out.append(f"n {i + 1} 0")
-    for a in net.arcs:
-        out.append(f"a {a.src + 1} {a.dst + 1} {a.lower} {a.upper} {a.cost}")
-    return "\n".join(out) + "\n"
-
-
-def parse_dimacs(text: str) -> FlowNetwork:
-    n_nodes = None
-    arcs: list[Arc] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "min":
-                raise TransformError(f"line {ln}: bad problem line")
-            n_nodes = int(parts[2])
-        elif parts[0] == "n":
-            if int(parts[2]) != 0:
-                raise TransformError(f"line {ln}: nonzero supply unsupported")
-        elif parts[0] == "a":
-            if len(parts) != 6:
-                raise TransformError(f"line {ln}: bad arc line")
-            src, dst, low, cap, cost = (int(x) for x in parts[1:])
-            arcs.append(Arc(src - 1, dst - 1, cost, low, cap, None))
-        else:
-            raise TransformError(f"line {ln}: unknown record {parts[0]!r}")
-    if n_nodes is None:
-        raise TransformError("missing problem line")
-    return FlowNetwork(n_nodes, tuple(arcs))

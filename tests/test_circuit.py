@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from retislack import (CircuitError, generate_random, parse_circuit,
-                       period_feasible, render_circuit, sta)
+from retislack import (CircuitError, apply_retiming, feasible_retiming,
+                       generate_random, parse_circuit, render_circuit, sta)
+from retislack.retime import retimed_weights
 from conftest import RING3_TEXT
 
 
@@ -116,10 +117,23 @@ def test_sta_arrival_matches_path_enumeration():
         assert list(rep.arrival) == best
 
 
-def test_period_feasible(ring3):
-    assert period_feasible(ring3, 5)
-    assert not period_feasible(ring3, 4)
-    assert period_feasible(ring3, sum(ring3.delays))
+def test_sta_weights_match_retimed_circuit():
+    # sta under a retiming's weights equals sta of the retimed circuit
+    rng = random.Random(11)
+    moved = 0
+    for seed in range(200):
+        c = generate_random(rng.randint(2, 16), edge_density=rng.uniform(1.0, 2.5),
+                            ff_prob=rng.uniform(0.2, 0.7), seed=seed)
+        # periods up to the unretimed one, so most witnesses move FFs
+        T = rng.randint(max(c.delays), max(sta(c, 0).arrival))
+        r = feasible_retiming(c, T)
+        if r is None:
+            continue
+        eff = [d + rng.randint(0, 5) for d in c.delays]
+        weights = retimed_weights(c, r)
+        assert sta(c, T, eff, weights) == sta(apply_retiming(c, r), T, eff)
+        moved += weights != [e.w for e in c.edges]
+    assert moved > 40
 
 
 def test_negative_effective_delay_rejected(ring3):
@@ -148,7 +162,7 @@ def test_generate_random_validates():
                             ff_prob=rng.random(), seed=rng.randint(0, 10**6))
         assert c.n == n
         assert all(e.w >= 0 for e in c.edges)
-        c.zero_ff_topo  # would raise on a combinational cycle
+        sta(c, sum(c.delays))  # would raise on a combinational cycle
 
 
 def test_generate_random_hits_target_density():

@@ -52,14 +52,12 @@ def test_curve_drop_matches_breakpoint_times_gap(curve4):
 
 def test_q_transform_decreasing_curve(curve4):
     q = q_transform(curve4)
-    assert q.s_star == 33
     assert all(p == 10 for p in q.powers)
     assert q.slacks == curve4.slacks
 
 
 def test_q_transform_tie_takes_smallest_slack():
     q = q_transform(make_curve([(0, 5), (10, 5)]))
-    assert q.s_star == 0
     assert q.powers == (5, 5)
 
 

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from retislack import (apply_retiming, brute_force, generate_random,
-                       make_curve, parse_circuit, period_feasible,
-                       run_pipeline, sta)
+                       make_curve, parse_circuit, run_pipeline, sta)
 from retislack.mcf import residual_potentials, solve_mcf
 from retislack.recovery import (BudgetResult, InfeasiblePeriodError,
                                 RecoveryError, SlackAssignment, finalize,
@@ -89,6 +88,17 @@ def test_recover_duals_single_level_curve_forced():
     assert s_vals[g.e1_index[0]] == 5  # delay 3 + the only slack level 2
 
 
+def test_recover_duals_potentials_above_nff_bar():
+    # potentials here reach 31 > nff_bar = 18; clamping them broke the E1/E2
+    # gaps and the pipeline used to raise RecoveryError
+    c = generate_random(6, edge_density=1.8, ff_prob=0.4, seed=506 * 10007 + 138)
+    curves = curves_for(c)
+    res = run_pipeline(c, curves, T=18, check=True)
+    verify_result(c, res)
+    assert max(res.diagnostics["mu"]) > split_graph(c, 18, curves).nff_bar
+    assert res.total_power >= brute_force(c, 18, curves).power
+
+
 def test_finalize_keeps_feasible_assignment(ring3):
     curves = curves_for(ring3)
     asn = SlackAssignment((0, 0, 0), (0, 0, 0),
@@ -107,7 +117,7 @@ def test_finalize_repairs_overbudget_assignment(ring3):
     assert len(res.diagnostics["repair_steps"]) > 0
     moved = apply_retiming(ring3, res.retiming)
     eff = [ring3.delays[j] + res.assignment.slacks[j] for j in range(3)]
-    assert period_feasible(moved, 5, eff)
+    assert max(sta(moved, 5, eff).arrival) <= 5
 
 
 def test_pipeline_ring3_matches_oracle(ring3):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import (breakpoints, dimacs_dump, expand, make_curve,
-                       parse_circuit, parse_dimacs, split_graph)
+from retislack import (breakpoints, expand, make_curve, parse_circuit,
+                       split_graph)
 from retislack.transform import DualEdge, DualGraph, TransformError
 from conftest import curves_for
 
@@ -136,22 +136,3 @@ def test_expand_rejects_negative_capacity():
     with pytest.raises(TransformError, match="negative capacity"):
         expand(g)
 
-
-def test_dimacs_round_trip(ring3):
-    g = split_graph(ring3, 5, curves_for(ring3))
-    net = expand(g)
-    back = parse_dimacs(dimacs_dump(net))
-    assert back.n_nodes == net.n_nodes
-    assert [(a.src, a.dst, a.cost, a.lower, a.upper) for a in back.arcs] == \
-           [(a.src, a.dst, a.cost, a.lower, a.upper) for a in net.arcs]
-
-
-def test_parse_dimacs_errors():
-    with pytest.raises(TransformError, match="missing problem line"):
-        parse_dimacs("a 1 2 0 5 3\n")
-    with pytest.raises(TransformError, match="bad problem line"):
-        parse_dimacs("p max 2 1\n")
-    with pytest.raises(TransformError, match="nonzero supply"):
-        parse_dimacs("p min 2 0\nn 1 4\n")
-    with pytest.raises(TransformError, match="unknown record"):
-        parse_dimacs("p min 2 0\nq\n")
