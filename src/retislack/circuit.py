@@ -9,9 +9,10 @@ of the pipeline exact.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
-import re
+from heapq import heapify, heappop, heappush
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.]+")
 
@@ -114,10 +115,13 @@ class TimingReport:
 
 
 def _forward(c: Circuit, eff, weights):
-    """Zero-FF topological order and latest arrival time per gate.
+    """Zero-FF topological order, latest arrival and critical source per gate.
 
     Kahn's algorithm over the edges whose weight is 0, relaxing each gate's
-    fanout as it is popped.  Raises CircuitError on a zero-FF cycle.
+    fanout as it is popped.  src[v] starts a zero-FF path ending at v whose
+    delay is a[v]: the source inherited from the fanin that set a[v], or v
+    itself when no fanin arrives later than 0.  Raises CircuitError on a
+    zero-FF cycle.
     """
     n = c.n
     edges = c.edges
@@ -126,6 +130,7 @@ def _forward(c: Circuit, eff, weights):
         if w == 0:
             indeg[edges[k].dst] += 1
     a = [0] * n  # latest fanin arrival until the gate is popped
+    src = list(range(n))
     stack = [i for i in range(n) if indeg[i] == 0]
     order = []
     fanout = c.fanout
@@ -139,12 +144,27 @@ def _forward(c: Circuit, eff, weights):
                 v = edges[k].dst
                 if au > a[v]:
                     a[v] = au
+                    src[v] = src[u]
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     stack.append(v)
     if len(order) != n:
         raise CircuitError("combinational cycle (zero-FF cycle)")
-    return order, a
+    return order, a, src
+
+
+def _backward(c: Circuit, T: int, eff, weights, order) -> list[int]:
+    """Required time per gate at period T, over the reversed `order`."""
+    g = [T] * c.n
+    edges = c.edges
+    for i in reversed(order):
+        for k in c.fanout[i]:
+            if weights[k] == 0:
+                j = edges[k].dst
+                v = g[j] - eff[j]
+                if v < g[i]:
+                    g[i] = v
+    return g
 
 
 def arrivals(c: Circuit, eff, weights=None) -> list[int]:
@@ -173,18 +193,71 @@ def sta(c: Circuit, T: int, eff=None, weights=None) -> TimingReport:
             raise CircuitError(f"gate {c.gates[i].name}: negative effective delay")
     if weights is None:
         weights = [e.w for e in c.edges]
-    order, a = _forward(c, eff, weights)
-    g = [T] * c.n
-    edges = c.edges
-    for i in reversed(order):
-        for k in c.fanout[i]:
-            if weights[k] == 0:
-                j = edges[k].dst
-                v = g[j] - eff[j]
-                if v < g[i]:
-                    g[i] = v
+    order, a, _ = _forward(c, eff, weights)
+    g = _backward(c, T, eff, weights, order)
     s = [g[i] - a[i] for i in range(c.n)]
     return TimingReport(T, tuple(a), tuple(g), tuple(s))
+
+
+class IncrementalTiming:
+    """Arrival, required and slack lists kept equal to `sta(c, T, eff, weights)`
+    while single effective delays change under fixed FF weights.
+
+    `set_delay(j, d)` recomputes arrivals only in j's zero-FF fanout cone and
+    required times only in its zero-FF fanin cone, each cone in topological
+    position; a gate whose value does not change stops the propagation.
+    """
+
+    def __init__(self, c: Circuit, T: int, eff, weights):
+        self.T = T
+        self.eff = list(eff)
+        order, self.arrival, _ = _forward(c, self.eff, weights)
+        self.required = _backward(c, T, self.eff, weights, order)
+        self.slack = [g - a for g, a in zip(self.required, self.arrival)]
+        self._order = order
+        self._pos = [0] * c.n
+        for p, v in enumerate(order):
+            self._pos[v] = p
+        # zero-FF neighbours as gate ids
+        self._zin = [[] for _ in range(c.n)]
+        self._zout = [[] for _ in range(c.n)]
+        for e, w in zip(c.edges, weights):
+            if w == 0:
+                self._zin[e.dst].append(e.src)
+                self._zout[e.src].append(e.dst)
+
+    def set_delay(self, j: int, d: int) -> None:
+        eff, a, g, s = self.eff, self.arrival, self.required, self.slack
+        order, pos, zin, zout = self._order, self._pos, self._zin, self._zout
+        eff[j] = d
+        heap = [pos[j]]
+        queued = {j}
+        while heap:
+            v = order[heappop(heap)]
+            x = eff[v] + max((a[u] for u in zin[v]), default=0)
+            if x != a[v]:
+                a[v] = x
+                s[v] = g[v] - x
+                for u in zout[v]:
+                    if u not in queued:
+                        queued.add(u)
+                        heappush(heap, pos[u])
+        # reverse topological position: max-heap by negated position
+        queued = set(zin[j])
+        heap = [-pos[u] for u in queued]
+        heapify(heap)
+        while heap:
+            v = order[-heappop(heap)]
+            # g[u] <= T and eff[u] >= 0, so T only bounds a gate without
+            # zero-FF fanout
+            x = min((g[u] - eff[u] for u in zout[v]), default=self.T)
+            if x != g[v]:
+                g[v] = x
+                s[v] = x - a[v]
+                for u in zin[v]:
+                    if u not in queued:
+                        queued.add(u)
+                        heappush(heap, -pos[u])
 
 
 def parse_circuit(text: str) -> Circuit:

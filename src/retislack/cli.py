@@ -91,6 +91,7 @@ def cmd_budget(args) -> int:
     print(f"total_slack {result.total_slack}")
     print(f"runtime_ms  {runtime * 1000.0:.1f}")
     if args.json:
+        diag = result.diagnostics
         doc = {
             "period": result.period,
             "achieved_period": result.achieved_period,
@@ -104,6 +105,13 @@ def cmd_budget(args) -> int:
                 for g in c.gates
             },
             "retiming": {g.name: result.retiming.labels[g.id] for g in c.gates},
+            "diagnostics": {
+                "tmin": diag["tmin"],
+                "repair_steps": len(diag["repair_steps"]),
+                "solver_iterations": diag["solver_iterations"],
+                "flow_cost": diag["flow_cost"],
+                "snap_power": _fmt_power(diag["snap_power"]),
+            },
         }
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=2, sort_keys=True)

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circuit import Circuit, arrivals, sta
+from .circuit import Circuit, IncrementalTiming, arrivals, sta
 from .mcf import Potentials, residual_potentials, solve_mcf, ssp_oracle
 from .power import PowerSlackCurve
 from .retime import Retiming, _feas, min_period, retimed_weights
@@ -135,6 +135,9 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
     """
     levels = list(assignment.levels)
     repairs = []
+    # -(power change) of decrementing gate j from level q, at [j][q]
+    neg_dpow = [[None] + [p[q] - p[q - 1] for q in range(1, len(p))]
+                for p in (curves[j].powers for j in range(c.n))]
     budget = 1  # decrements allowed between feasibility retries; doubles
     while True:
         slacks = [curves[j].slacks[q] for j, q in enumerate(levels)]
@@ -153,32 +156,26 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
             powers = tuple(curves[j].powers[q] for j, q in enumerate(levels))
             final = SlackAssignment(tuple(levels), tuple(slacks), powers)
             return BudgetResult(final, r, T, ach,
-                                {"repair_steps": repairs})
+                                {"repair_steps": repairs,
+                                 "snap_power": assignment.total_power})
         # drain violations under this (fixed) retiming attempt; the budget
         # doubles each retry so feasibility searches stay logarithmic in
         # the number of repairs while early repairs remain one at a time
-        steps = 0
-        while steps < budget:
-            rep = sta(c, T, eff, weights).slack
+        timing = IncrementalTiming(c, T, eff, weights)
+        rep = timing.slack
+        for _ in range(budget):
             if min(rep) >= 0:
                 break
-            cands = []
-            for j in range(c.n):
-                if levels[j] == 0:
-                    continue
-                cur = curves[j]
-                dpow = cur.powers[levels[j] - 1] - cur.powers[levels[j]]
-                cands.append((rep[j], -dpow, j))
-            if not cands:
+            cand = min(((rep[j], neg_dpow[j][q], j)
+                        for j, q in enumerate(levels) if q), default=None)
+            if cand is None:
                 # this particular retiming cannot meet T even at minimum
                 # levels; a fresh feasibility search may still find one
                 break
-            cands.sort()
-            _, _, j = cands[0]
+            j = cand[2]
             levels[j] -= 1
-            eff[j] = c.delays[j] + curves[j].slacks[levels[j]]
+            timing.set_delay(j, c.delays[j] + curves[j].slacks[levels[j]])
             repairs.append(j)
-            steps += 1
         budget *= 2
 
 

@@ -3,15 +3,20 @@
 A retiming r moves label r_i FFs from the outgoing to the incoming edges of
 gate i; edge (i, j) ends up with w_ij + r_j - r_i FFs, which must stay
 nonnegative.  Feasibility at a period is decided by iterated relabeling
-(arrival times are recomputed and every violating gate absorbs one FF), a
-label-correcting scheme on the underlying difference-constraint system.
-The minimum period is found by binary search.
+(FEAS of Leiserson & Saxe: arrival times are recomputed and every violating
+gate absorbs one FF), a label-correcting scheme on the underlying
+difference-constraint system.  An infeasible period is usually proved long
+before the |V| + 1 round bound: each increment records the start of the
+critical path that forced it, and a cycle among those records certifies
+infeasibility (early termination after Shenoy & Rudell).  The minimum period
+is found by binary search between the largest delay and the unretimed
+period.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Edge, arrivals
+from .circuit import Circuit, Edge, _forward, arrivals
 
 
 class RetimingError(ValueError):
@@ -42,29 +47,80 @@ def apply_retiming(c: Circuit, r: Retiming) -> Circuit:
     return Circuit(c.gates, edges)
 
 
+def _parent_cycle(parent: list[int], starts) -> bool:
+    """True when the parent pointers reached from `starts` close a cycle."""
+    walk = {}  # gate -> the start whose walk visited it
+    for s in starts:
+        v = s
+        while v >= 0 and v not in walk:
+            walk[v] = s
+            v = parent[v]
+        if v >= 0 and walk[v] == s:
+            return True
+    return False
+
+
 def _feas(c: Circuit, T: int, eff,
           max_rounds: int | None = None) -> tuple[bool, Retiming]:
     """Iterated-relabeling feasibility test.
 
     Returns (ok, retiming).  On failure the returned retiming is the last
     attempt (always legal), which callers use to locate critical gates.
-    A conclusive "infeasible" needs the full |V| + 1 rounds; callers that
-    only probe may cap `max_rounds` and treat a failure as inconclusive.
+    Without `max_rounds` the answer is conclusive: infeasible as soon as the
+    parent pointers from each incremented gate to the start of its critical
+    path close a cycle, and at the latest after |V| + 1 rounds.  A capped
+    probe skips the cycle test and runs at most `max_rounds` rounds, so
+    callers treat its failure as inconclusive.  Rounds that would repeat the
+    previous round's bad set on the same zero-FF edges are applied in one
+    step; the result is the same as running them one by one.
     """
     n = c.n
+    edges, fanin, fanout = c.edges, c.fanin, c.fanout
     r = [0] * n
-    weights = [e.w for e in c.edges]
-    rounds = n + 1 if max_rounds is None else min(n + 1, max_rounds)
-    for _ in range(rounds):
-        a = arrivals(c, eff, weights)
+    weights = [e.w for e in edges]
+    certify = max_rounds is None
+    rounds = n + 1 if certify else min(n + 1, max_rounds)
+    parent = [-1] * n
+    done = 0
+    while done < rounds:
+        _, a, src = _forward(c, eff, weights)
         bad = [i for i in range(n) if a[i] > T]
         if not bad:
             base = min(r)
             return True, Retiming(tuple(x - base for x in r))
+        if certify:
+            # Bad gate v ends a zero-FF path P from src[v] = u longer than T,
+            # so every solution has r_v >= r_u + 1 - W(P).  This round's
+            # increment makes that bound tight, and it only loosens as r_u
+            # rises later; in a parent cycle the pointer set earliest has
+            # loosened, so the cycle is a closed walk of k segments longer
+            # than T carrying fewer than k FFs.  Retiming keeps the FF count
+            # of every cycle, so no retiming meets T.  A new cycle passes
+            # through a pointer set in this round.
+            for i in bad:
+                parent[i] = src[i]
+            if _parent_cycle(parent, bad):
+                break
+        # w_ij + r_j - r_i moves only on edges with one end in the bad set
+        inside = [False] * n
         for i in bad:
-            r[i] += 1
-        for k, e in enumerate(c.edges):
-            weights[k] = e.w + r[e.dst] - r[e.src]
+            inside[i] = True
+        into = [k for i in bad for k in fanin[i] if not inside[edges[k].src]]
+        out = [k for i in bad for k in fanout[i] if not inside[edges[k].dst]]
+        # An edge leaving the bad set carries an FF (its head would be bad
+        # otherwise).  If no edge entering it is zero-FF, the next rounds see
+        # the same zero-FF edges, hence the same arrivals and bad set, until
+        # an edge leaving it runs out of FFs: apply those rounds at once.
+        step = 1
+        if all(weights[k] for k in into):
+            step = min(rounds - done, min((weights[k] for k in out), default=rounds))
+        for i in bad:
+            r[i] += step
+        for k in into:
+            weights[k] += step
+        for k in out:
+            weights[k] -= step
+        done += step
     base = min(r)
     return False, Retiming(tuple(x - base for x in r))
 
@@ -84,11 +140,8 @@ def min_period(c: Circuit, eff=None) -> tuple[int, Retiming]:
     if eff is None:
         eff = c.delays
     lo = max(eff)
-    hi = sum(eff)
-    best = None
-    ok, r = _feas(c, hi, eff)
-    assert ok, "period equal to the total delay is always feasible"
-    best = (hi, r)
+    hi = max(arrivals(c, eff))  # the unretimed period, met by the zero retiming
+    best = (hi, Retiming((0,) * c.n))
     while lo < hi:
         mid = (lo + hi) // 2
         ok, r = _feas(c, mid, eff)

@@ -5,6 +5,7 @@ import pytest
 
 from retislack import (CircuitError, apply_retiming, feasible_retiming,
                        generate_random, parse_circuit, render_circuit, sta)
+from retislack.circuit import IncrementalTiming
 from retislack.retime import retimed_weights
 from conftest import RING3_TEXT
 
@@ -134,6 +135,38 @@ def test_sta_weights_match_retimed_circuit():
         assert sta(c, T, eff, weights) == sta(apply_retiming(c, r), T, eff)
         moved += weights != [e.w for e in c.edges]
     assert moved > 40
+
+
+def test_incremental_timing_matches_sta_after_each_decrement():
+    # random drains of single-level decrements, as the repair loop makes them,
+    # under original and retimed weights, with and without zero-delay gates
+    rng = random.Random(29)
+    grid = (0, 3, 7, 12)
+    steps = 0
+    for seed in range(100):
+        c = generate_random(rng.randint(1, 40), edge_density=rng.uniform(0.5, 2.5),
+                            ff_prob=rng.uniform(0.2, 0.7),
+                            delay_range=(0, 3) if seed % 2 else (1, 10), seed=seed)
+        T = rng.randint(max(c.delays), max(sta(c, 0).arrival) + 10)
+        r = feasible_retiming(c, T)
+        weights = retimed_weights(c, r) if r else [e.w for e in c.edges]
+        levels = [rng.randrange(len(grid)) for _ in range(c.n)]
+        eff = [d + grid[q] for d, q in zip(c.delays, levels)]
+        timing = IncrementalTiming(c, T, eff, weights)
+        while True:
+            rep = sta(c, T, eff, weights)
+            assert timing.arrival == list(rep.arrival)
+            assert timing.required == list(rep.required)
+            assert timing.slack == list(rep.slack)
+            lowered = [j for j, q in enumerate(levels) if q]
+            if not lowered:
+                break
+            j = rng.choice(lowered)
+            levels[j] -= 1
+            eff[j] = c.delays[j] + grid[levels[j]]
+            timing.set_delay(j, eff[j])
+            steps += 1
+    assert steps > 1000
 
 
 def test_negative_effective_delay_rejected(ring3):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, CSV/JSON artifacts."""
 import json
+from fractions import Fraction
 
 from retislack.cli import main
 from conftest import RING3_TEXT
@@ -94,6 +95,15 @@ def test_budget_json_document(tmp_path, capsys):
     for rec in doc["gates"].values():
         assert set(rec) == {"slack", "power"}
     assert set(doc["retiming"]) == {"a", "b", "c"}
+    diag = doc["diagnostics"]
+    assert set(diag) == {"tmin", "repair_steps", "solver_iterations",
+                         "flow_cost", "snap_power"}
+    assert diag["tmin"] == 5
+    assert isinstance(diag["repair_steps"], int) and diag["repair_steps"] >= 0
+    assert isinstance(diag["solver_iterations"], int)
+    assert isinstance(diag["flow_cost"], int)
+    # power strings as in the rest of the document; repair only adds power
+    assert Fraction(diag["snap_power"]) <= Fraction(doc["total_power"])
 
 
 def test_bench_generated_deterministic(tmp_path, capsys):

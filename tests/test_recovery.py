@@ -105,6 +105,7 @@ def test_finalize_keeps_feasible_assignment(ring3):
                           (Fraction(100),) * 3)
     res = finalize(ring3, 5, curves, asn)
     assert res.diagnostics["repair_steps"] == []
+    assert res.diagnostics["snap_power"] == 300
     assert res.assignment == asn
     assert res.achieved_period <= 5
 
@@ -115,6 +116,8 @@ def test_finalize_repairs_overbudget_assignment(ring3):
                           (Fraction(10),) * 3)
     res = finalize(ring3, 5, curves, asn)
     assert len(res.diagnostics["repair_steps"]) > 0
+    assert res.diagnostics["snap_power"] == 30
+    assert res.total_power > 30
     moved = apply_retiming(ring3, res.retiming)
     eff = [ring3.delays[j] + res.assignment.slacks[j] for j in range(3)]
     assert max(sta(moved, 5, eff).arrival) <= 5

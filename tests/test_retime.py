@@ -1,11 +1,15 @@
 """Retiming legality, feasibility search, and minimum period."""
 import itertools
+import random
 
 import pytest
 
-from retislack import (Retiming, RetimingError, apply_retiming,
-                       feasible_retiming, generate_random, parse_circuit, sta)
-from retislack.retime import min_period, retimed_weights
+from retislack import (Circuit, Edge, Gate, Retiming, RetimingError,
+                       apply_retiming, feasible_retiming, generate_random,
+                       oracle_min_period, parse_circuit, sta)
+from retislack.circuit import arrivals
+from retislack.retime import _feas, min_period, retimed_weights
+from conftest import RING3_TEXT
 
 
 def test_zero_retiming_is_identity(ring3):
@@ -71,29 +75,98 @@ def test_feasible_retiming_accepts_already_met(ring3):
     assert min(r.labels) == 0  # normalized
 
 
+def _union(a, b):
+    """Disjoint union of two circuits; b's gates are renamed and renumbered."""
+    gates = a.gates + tuple(Gate(a.n + g.id, "u" + g.name, g.delay)
+                            for g in b.gates)
+    edges = a.edges + tuple(Edge(a.n + e.src, a.n + e.dst, e.w) for e in b.edges)
+    return Circuit(gates, edges)
+
+
+def _odd_circuits():
+    """Zero-delay gates, self-loops with one and two FFs, disconnected parts."""
+    out = [generate_random(5, edge_density=1.6, ff_prob=0.5, delay_range=(0, 3),
+                           seed=seed) for seed in range(4)]
+    out.append(parse_circuit("gate a 3\ngate b 2\ngate c 0\nedge a a 1\n"
+                             "edge a b 0\nedge b c 1\nedge c a 0\n"))
+    out.append(parse_circuit("gate a 4\ngate b 1\nedge a a 2\nedge a b 0\n"
+                             "edge b a 1\n"))
+    out.append(_union(parse_circuit(RING3_TEXT), parse_circuit(
+        "gate x 6\ngate y 0\nedge x x 1\nedge x y 0\nedge y x 2\n")))
+    out.append(_union(generate_random(2, ff_prob=0.5, seed=5),
+                      generate_random(3, edge_density=1.6, ff_prob=0.5,
+                                      delay_range=(0, 3), seed=6)))
+    return out
+
+
+def _exhaustively_feasible(c, T):
+    """Whether some label vector in [-|V|, |V|]^|V| is legal and meets T."""
+    n = c.n
+    for labels in itertools.product(range(-n, n + 1), repeat=n):
+        try:
+            weights = retimed_weights(c, Retiming(labels))
+        except RetimingError:
+            continue
+        if max(sta(c, T, weights=weights).arrival) <= T:
+            return True
+    return False
+
+
 def test_feasible_retiming_matches_exhaustive_enumeration():
     # compare the yes/no answer with a full scan over label boxes
-    for seed in range(8):
-        c = generate_random(5, edge_density=1.6, ff_prob=0.5, seed=seed)
-        n = c.n
-        for T in (max(c.delays), max(c.delays) + 2, sum(c.delays)):
-            found = False
-            for labels in itertools.product(range(-n, n + 1), repeat=n):
-                try:
-                    moved = apply_retiming(c, Retiming(labels))
-                except RetimingError:
-                    continue
-                try:
-                    ok = max(sta(moved, T).arrival) <= T
-                except Exception:
-                    continue
-                if ok:
-                    found = True
-                    break
+    circuits = [generate_random(5, edge_density=1.6, ff_prob=0.5, seed=seed)
+                for seed in range(8)] + _odd_circuits()
+    for c in circuits:
+        for T in sorted({max(c.delays), max(c.delays) + 2, sum(c.delays)}):
             got = feasible_retiming(c, T)
-            assert (got is not None) == found
+            assert (got is not None) == _exhaustively_feasible(c, T)
             if got is not None:
                 assert max(sta(apply_retiming(c, got), T).arrival) <= T
+
+
+def test_min_period_matches_oracle_on_odd_inputs():
+    for c in _odd_circuits():
+        t, r = min_period(c)
+        assert t == oracle_min_period(c)
+        assert min(r.labels) == 0  # normalized, like every _feas witness
+        assert max(sta(apply_retiming(c, r), t).arrival) <= t
+
+
+def _relabel_rounds(c, T, eff, rounds):
+    """Iterated relabeling one round at a time, every weight recomputed."""
+    r = [0] * c.n
+    ok = False
+    for _ in range(rounds):
+        weights = [e.w + r[e.dst] - r[e.src] for e in c.edges]
+        bad = [i for i, a in enumerate(arrivals(c, eff, weights)) if a > T]
+        if not bad:
+            ok = True
+            break
+        for i in bad:
+            r[i] += 1
+    base = min(r)
+    return ok, tuple(x - base for x in r)
+
+
+def test_feas_matches_round_by_round_relabeling():
+    # capped probes return the same attempt as plain rounds (finalize drains
+    # under it); uncapped ones the same answer and, when feasible, witness
+    rng = random.Random(7)
+    for seed in range(150):
+        c = generate_random(rng.randint(1, 40), edge_density=rng.uniform(0.5, 3.0),
+                            ff_prob=rng.uniform(0.1, 0.8),
+                            delay_range=(0, 3) if seed % 3 == 0 else (1, 10),
+                            seed=seed)
+        eff = [d + rng.choice((0, 0, 2, 7)) for d in c.delays]
+        T = rng.randint(max(eff), max(arrivals(c, eff)))
+        for cap in (1, 2, 5, 64):
+            ok, r = _feas(c, T, eff, max_rounds=cap)
+            assert (ok, r.labels) == _relabel_rounds(c, T, eff, min(cap, c.n + 1))
+        ok, r = _feas(c, T, eff)
+        ref_ok, ref = _relabel_rounds(c, T, eff, c.n + 1)
+        assert ok == ref_ok
+        if ok:
+            assert r.labels == ref
 
 
 def test_min_period_ring3(ring3):
