@@ -4,7 +4,7 @@ A curve is an ordered list of (slack, power) levels.  Power must be
 nonincreasing and convex in slack: the magnitudes of the segment slopes
 (the breakpoints) are nonincreasing from left to right.  Powers are read
 as integers from input files, but all derived quantities (breakpoints,
-penalty-scaled curves, interpolated values) are exact rationals.
+penalty-scaled curves) are exact rationals.
 """
 from __future__ import annotations
 
@@ -98,21 +98,6 @@ def scale_powers(curve: PowerSlackCurve, factor: Fraction) -> PowerSlackCurve:
 def shift_slacks(curve: PowerSlackCurve, delta: int) -> PowerSlackCurve:
     """Translate the slack axis by delta; powers unchanged."""
     return PowerSlackCurve(tuple((s + delta, p) for s, p in curve.levels), curve.gate)
-
-
-def eval_power(curve: PowerSlackCurve, slack) -> Fraction:
-    """Exact piecewise-linear interpolation between level points."""
-    s = curve.slacks
-    p = curve.powers
-    x = Fraction(slack)
-    if x < s[0] or x > s[-1]:
-        raise CurveError(f"slack {slack} out of range [{s[0]}, {s[-1]}]")
-    for q in range(1, len(s)):
-        if x <= s[q]:
-            if x == s[q]:
-                return p[q]
-            return p[q - 1] + (p[q] - p[q - 1]) * (x - s[q - 1]) / (s[q] - s[q - 1])
-    return p[0]  # single level, x == s[0]
 
 
 def load_curves(text: str, c: Circuit) -> dict[int, PowerSlackCurve]:

@@ -3,9 +3,10 @@
 The dual distances fix a potential per split node.  Differences of
 potentials across the slack-carrying edges give edge slack values; the
 per-gate slack is the minimum of its own window value and the propagation
-values arriving over fanin edges.  Slacks are snapped down onto the
-discrete level grid and the result is made legal by recomputing a fresh
-retiming, decrementing levels of critical gates if the period is missed.
+values arriving over fanin edges, capped at the period.  Slacks are snapped
+down onto the discrete level grid and the result is made legal by
+recomputing a fresh retiming; decrementing levels of critical gates when
+the period is missed is a counted fallback.
 """
 from __future__ import annotations
 
@@ -88,8 +89,9 @@ def recover_slacks(g: DualGraph, c: Circuit, s_vals: dict) -> list[int]:
     """Per-gate delay-plus-slack values from the recovered edge slacks.
 
     Each gate takes the minimum of its own window value and, over zero-or-
-    more fanin edges, the propagated value plus T per FF; floored at the
-    smallest level so snapping always succeeds.
+    more fanin edges, the propagated value plus T per FF; capped at the
+    period, since no gate's delay plus slack can exceed it, and floored at
+    the smallest level (at most T) so snapping always succeeds.
     """
     T = g.period
     out = []
@@ -101,7 +103,7 @@ def recover_slacks(g: DualGraph, c: Circuit, s_vals: dict) -> list[int]:
             cand = t + T * c.edges[k].w
             if cand < val:
                 val = cand
-        out.append(max(val, e1.lower))
+        out.append(max(min(val, T), e1.lower))
     return out
 
 
@@ -127,11 +129,13 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
              assignment: SlackAssignment) -> BudgetResult:
     """Make the assignment legal at period T, repairing it if needed.
 
-    If no retiming meets the period, the slack level of the gate with the
-    worst negative slack under the last retiming attempt is decremented
-    (ties: larger power change from the decrement, then gate id) and the
-    search retries.  Terminates because the all-minimum assignment is
-    feasible whenever T is at least the minimum period.
+    Each retry runs one conclusive feasibility probe.  If no retiming meets
+    the period, slack levels are decremented under the probe's last
+    retiming attempt, worst negative slack first (ties: larger power change
+    from the decrement, then gate id), and the probe is rerun.  Terminates
+    because the all-minimum assignment is feasible whenever T is at least
+    the minimum period; a failed probe at all-minimum levels raises
+    InfeasiblePeriodError.
     """
     levels = list(assignment.levels)
     repairs = []
@@ -142,14 +146,10 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
     while True:
         slacks = [curves[j].slacks[q] for j, q in enumerate(levels)]
         eff = [c.delays[j] + slacks[j] for j in range(c.n)]
-        # probe with capped rounds: a success is always sound, a failure
-        # during repair just means "drain more"
-        ok, r = _feas(c, T, eff, max_rounds=64)
+        ok, r = _feas(c, T, eff)
         if not ok and not any(levels):
-            ok, r = _feas(c, T, eff)  # conclusive run before giving up
-            if not ok:
-                raise InfeasiblePeriodError(
-                    f"period {T} infeasible even at minimum slack")
+            raise InfeasiblePeriodError(
+                f"period {T} infeasible even at minimum slack")
         weights = retimed_weights(c, r)
         if ok:
             ach = max(arrivals(c, eff, weights))

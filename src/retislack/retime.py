@@ -60,67 +60,51 @@ def _parent_cycle(parent: list[int], starts) -> bool:
     return False
 
 
-def _feas(c: Circuit, T: int, eff,
-          max_rounds: int | None = None) -> tuple[bool, Retiming]:
+def _feas(c: Circuit, T: int, eff) -> tuple[bool, Retiming]:
     """Iterated-relabeling feasibility test.
 
-    Returns (ok, retiming).  On failure the returned retiming is the last
-    attempt (always legal), which callers use to locate critical gates.
-    Without `max_rounds` the answer is conclusive: infeasible as soon as the
+    Returns (ok, retiming).  Each round, every gate whose arrival exceeds T
+    absorbs one FF.  The answer is conclusive: infeasible as soon as the
     parent pointers from each incremented gate to the start of its critical
-    path close a cycle, and at the latest after |V| + 1 rounds.  A capped
-    probe skips the cycle test and runs at most `max_rounds` rounds, so
-    callers treat its failure as inconclusive.  Rounds that would repeat the
-    previous round's bad set on the same zero-FF edges are applied in one
-    step; the result is the same as running them one by one.
+    path close a cycle, and at the latest after |V| + 1 rounds.  On failure
+    the returned retiming is the last attempt (always legal), which callers
+    use to locate critical gates.
     """
     n = c.n
     edges, fanin, fanout = c.edges, c.fanin, c.fanout
     r = [0] * n
     weights = [e.w for e in edges]
-    certify = max_rounds is None
-    rounds = n + 1 if certify else min(n + 1, max_rounds)
     parent = [-1] * n
-    done = 0
-    while done < rounds:
+    for _ in range(n + 1):
         _, a, src = _forward(c, eff, weights)
         bad = [i for i in range(n) if a[i] > T]
         if not bad:
             base = min(r)
             return True, Retiming(tuple(x - base for x in r))
-        if certify:
-            # Bad gate v ends a zero-FF path P from src[v] = u longer than T,
-            # so every solution has r_v >= r_u + 1 - W(P).  This round's
-            # increment makes that bound tight, and it only loosens as r_u
-            # rises later; in a parent cycle the pointer set earliest has
-            # loosened, so the cycle is a closed walk of k segments longer
-            # than T carrying fewer than k FFs.  Retiming keeps the FF count
-            # of every cycle, so no retiming meets T.  A new cycle passes
-            # through a pointer set in this round.
-            for i in bad:
-                parent[i] = src[i]
-            if _parent_cycle(parent, bad):
-                break
+        # Bad gate v ends a zero-FF path P from src[v] = u longer than T,
+        # so every solution has r_v >= r_u + 1 - W(P).  This round's
+        # increment makes that bound tight, and it only loosens as r_u rises
+        # later; in a parent cycle the pointer set earliest has loosened, so
+        # the cycle is a closed walk of k segments longer than T carrying
+        # fewer than k FFs.  Retiming keeps the FF count of every cycle, so
+        # no retiming meets T.  A new cycle passes through a pointer set in
+        # this round.
+        for i in bad:
+            parent[i] = src[i]
+        if _parent_cycle(parent, bad):
+            break
         # w_ij + r_j - r_i moves only on edges with one end in the bad set
         inside = [False] * n
         for i in bad:
             inside[i] = True
-        into = [k for i in bad for k in fanin[i] if not inside[edges[k].src]]
-        out = [k for i in bad for k in fanout[i] if not inside[edges[k].dst]]
-        # An edge leaving the bad set carries an FF (its head would be bad
-        # otherwise).  If no edge entering it is zero-FF, the next rounds see
-        # the same zero-FF edges, hence the same arrivals and bad set, until
-        # an edge leaving it runs out of FFs: apply those rounds at once.
-        step = 1
-        if all(weights[k] for k in into):
-            step = min(rounds - done, min((weights[k] for k in out), default=rounds))
+            r[i] += 1
         for i in bad:
-            r[i] += step
-        for k in into:
-            weights[k] += step
-        for k in out:
-            weights[k] -= step
-        done += step
+            for k in fanin[i]:
+                if not inside[edges[k].src]:
+                    weights[k] += 1
+            for k in fanout[i]:
+                if not inside[edges[k].dst]:
+                    weights[k] -= 1
     base = min(r)
     return False, Retiming(tuple(x - base for x in r))
 

@@ -130,7 +130,6 @@ class FlowNetwork:
     arcs: tuple[Arc, ...]
     scale: int = 1  # capacity scale D
     m_cap: int = 0
-    m_cost: int = 0
 
     def __post_init__(self):
         for a in self.arcs:
@@ -160,8 +159,6 @@ def expand(g: DualGraph) -> FlowNetwork:
             scale = _lcm(scale, b.denominator)
     total_b = sum((b for bs in all_bs for b in bs), Fraction(0))
     m_cap = 1 + math.ceil(total_b)
-    first_bs = [bs[0] for bs in all_bs if bs]
-    m_cost = 1 + math.ceil(sum(first_bs, Fraction(0)))
     big = m_cap * scale
 
     arcs: list[Arc] = []
@@ -190,4 +187,4 @@ def expand(g: DualGraph) -> FlowNetwork:
         else:  # E4: free forward arc plus a rewritten negative-bound arc
             arcs.append(Arc(e.dst, e.src, -g.nff_bar, 0, big, (k, 0)))
             arcs.append(Arc(e.src, e.dst, 0, 0, big, (k, 1)))
-    return FlowNetwork(g.n_nodes, tuple(arcs), scale, m_cap, m_cost)
+    return FlowNetwork(g.n_nodes, tuple(arcs), scale, m_cap)

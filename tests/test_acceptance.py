@@ -191,15 +191,15 @@ def test_criterion_8_scale(tmp_path):
     t0 = time.perf_counter()
     code = main(["budget", str(ckt), str(curves_path), "--json", str(out_path)])
     dt = time.perf_counter() - t0
-    # pinned answer: min_period's early exit and the cone-incremental repair
-    # must leave it bit-identical; any change to it must be explained
+    # pinned answer (recovered values capped at the period, one conclusive
+    # feasibility probe per repair retry); any change to it must be explained
     doc = json.loads(out_path.read_text()) if code == 0 else {}
     got = (doc.get("period"), doc.get("achieved_period"), doc.get("total_power"),
            doc.get("diagnostics"))
-    want = (21, 21, "63080", {"tmin": 21, "repair_steps": 511,
+    want = (21, 21, "62760", {"tmin": 21, "repair_steps": 255,
                               "solver_iterations": 201345,
                               "flow_cost": -228622399854017,
-                              "snap_power": "46230"})
+                              "snap_power": "52760"})
     _report(8, "scale", code == 0 and dt < 10.0 and got == want,
             f"650 gates / {len(c.edges)} edges budgeted in {dt:.2f} s "
             f"(bound 10 s), answer {'as pinned' if got == want else got}")

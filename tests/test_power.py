@@ -1,10 +1,10 @@
-"""Power-slack curves: validation, breakpoints, flattening, interpolation."""
+"""Power-slack curves: validation, breakpoints, flattening, scaling."""
 from fractions import Fraction
 
 import pytest
 
-from retislack import (CurveError, breakpoints, eval_power, load_curves,
-                       make_curve, parse_circuit, penalty_divisor, q_transform)
+from retislack import (CurveError, breakpoints, load_curves, make_curve,
+                       parse_circuit, penalty_divisor, q_transform)
 from retislack.power import scale_powers, shift_slacks
 from conftest import CURVE4_PAIRS
 
@@ -77,21 +77,6 @@ def test_penalty_divisor_counts_zero_ff_fanins():
 def test_penalty_divisor_mixed():
     c = parse_circuit("gate a 1\ngate b 1\nedge a b 0\nedge a b 1\n")
     assert penalty_divisor(c, 1) == 1
-
-
-def test_eval_power_table_and_interpolation(curve4):
-    assert eval_power(curve4, 10) == 60
-    assert eval_power(curve4, 5) == 80
-    assert eval_power(curve4, 0) == 100
-    assert eval_power(curve4, 33) == 10
-    assert eval_power(curve4, 26) == 30 - Fraction(20, 13) * 6
-
-
-def test_eval_power_out_of_range(curve4):
-    with pytest.raises(CurveError, match="out of range"):
-        eval_power(curve4, 40)
-    with pytest.raises(CurveError, match="out of range"):
-        eval_power(curve4, -1)
 
 
 def test_scale_and_shift(curve4):

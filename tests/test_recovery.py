@@ -1,10 +1,12 @@
 """Dual recovery, level snapping, and the end-to-end budgeting pipeline."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from retislack import (apply_retiming, brute_force, generate_random,
-                       make_curve, parse_circuit, run_pipeline, sta)
+from retislack import (Circuit, Edge, apply_retiming, brute_force,
+                       generate_random, make_curve, parse_circuit,
+                       run_pipeline, sta)
 from retislack.mcf import residual_potentials, solve_mcf
 from retislack.recovery import (BudgetResult, InfeasiblePeriodError,
                                 RecoveryError, SlackAssignment, finalize,
@@ -12,6 +14,7 @@ from retislack.recovery import (BudgetResult, InfeasiblePeriodError,
                                 recover_slacks, snap_levels, verify_result)
 from retislack.transform import expand, split_graph
 from conftest import CURVE3_PAIRS, curves_for
+from test_retime import _union
 
 
 def test_recover_slacks_takes_min_over_fanins_and_window():
@@ -28,6 +31,11 @@ def test_recover_slacks_takes_min_over_fanins_and_window():
     assert out[j] == 5
     # gates without fanins keep their own window value
     assert out[c.gate_id("x")] == 7
+    # values above the period come back as the period
+    s_vals[g.e1_index[j]] = 12
+    s_vals[g.e2_index[0]] = 11
+    s_vals[g.e2_index[1]] = 3    # 3 + T = 13
+    assert recover_slacks(g, c, s_vals)[j] == T
 
 
 def test_recover_slacks_floors_at_window_lower():
@@ -167,6 +175,53 @@ def test_pipeline_sound_on_random_circuits():
         assert max(rep.arrival) <= res.period
         for j in range(c.n):
             assert res.assignment.slacks[j] in curves[j].slacks
+
+
+def _random_curve(rng, gate):
+    """Convex nonincreasing curve of 1-5 levels, some with mandatory slack."""
+    slack = rng.choice((0, 0, 0, 1, 4))
+    segments = rng.randint(0, 3) if rng.random() < 0.9 else 4
+    slopes = sorted((rng.randint(0, 8) for _ in range(segments)), reverse=True)
+    gaps = [rng.randint(1, 12) for _ in slopes]
+    power = sum(k * g for k, g in zip(slopes, gaps)) + rng.randint(1, 30)
+    pairs = [(slack, power)]
+    for k, g in zip(slopes, gaps):
+        slack += g
+        power -= k * g
+        pairs.append((slack, power))
+    return make_curve(pairs, gate=gate)
+
+
+def _random_odd_circuit(rng, seed):
+    """Random circuit with zero-delay gates, self-loops or two parts."""
+    def part(n, s):
+        return generate_random(n, edge_density=rng.uniform(0.8, 2.4),
+                               ff_prob=rng.uniform(0.2, 0.7),
+                               delay_range=rng.choice(((0, 3), (1, 10))), seed=s)
+    c = part(rng.randint(1, 8), seed)
+    if rng.random() < 0.4:
+        c = _union(c, part(rng.randint(1, 5), seed + 7919))
+    loops = tuple(Edge(i, i, rng.randint(1, 2))
+                  for i in rng.sample(range(c.n), min(c.n, rng.randint(0, 2))))
+    return Circuit(c.gates, c.edges + loops)
+
+
+def test_pipeline_properties_on_odd_inputs():
+    # per-gate mixed curves (single-level ones too), zero delays, self-loops
+    # and disjoint unions: every budget verifies, no recovered value exceeds
+    # the period, and power never drops below the exhaustive optimum
+    rng = random.Random(11)
+    for seed in range(120):
+        c = _random_odd_circuit(rng, seed)
+        curves = {j: _random_curve(rng, j) for j in range(c.n)}
+        T = None
+        if rng.random() < 0.5:
+            T = min_slack_period(c, curves)[0] + rng.randint(0, 15)
+        res = run_pipeline(c, curves, T=T, check=True)
+        assert res.diagnostics["checked"]
+        assert max(res.diagnostics["sbar"]) <= res.period
+        if c.n <= 10 and all(cur.nlevels <= 4 for cur in curves.values()):
+            assert res.total_power >= brute_force(c, res.period, curves).power
 
 
 def test_verify_result_catches_corruption(ring3):

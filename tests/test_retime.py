@@ -149,8 +149,9 @@ def _relabel_rounds(c, T, eff, rounds):
 
 
 def test_feas_matches_round_by_round_relabeling():
-    # capped probes return the same attempt as plain rounds (finalize drains
-    # under it); uncapped ones the same answer and, when feasible, witness
+    # the probe gives the same answer as plain rounds and, when feasible, the
+    # same witness; a failed probe still returns a legal retiming, since
+    # finalize drains violations under it
     rng = random.Random(7)
     for seed in range(150):
         c = generate_random(rng.randint(1, 40), edge_density=rng.uniform(0.5, 3.0),
@@ -159,14 +160,12 @@ def test_feas_matches_round_by_round_relabeling():
                             seed=seed)
         eff = [d + rng.choice((0, 0, 2, 7)) for d in c.delays]
         T = rng.randint(max(eff), max(arrivals(c, eff)))
-        for cap in (1, 2, 5, 64):
-            ok, r = _feas(c, T, eff, max_rounds=cap)
-            assert (ok, r.labels) == _relabel_rounds(c, T, eff, min(cap, c.n + 1))
         ok, r = _feas(c, T, eff)
         ref_ok, ref = _relabel_rounds(c, T, eff, c.n + 1)
         assert ok == ref_ok
         if ok:
             assert r.labels == ref
+        retimed_weights(c, r)  # raises if illegal
 
 
 def test_min_period_ring3(ring3):
