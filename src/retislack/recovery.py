@@ -1,12 +1,13 @@
-"""Recover per-gate slacks and a legal retiming from optimal-flow potentials.
+"""Recover a per-gate slack budget from optimal-flow potentials, then retime.
 
 The dual distances fix a potential per split node.  Differences of
 potentials across the slack-carrying edges give edge slack values; the
 per-gate slack is the minimum of its own window value and the propagation
 values arriving over fanin edges, capped at the period.  Slacks are snapped
-down onto the discrete level grid and the result is made legal by
-recomputing a fresh retiming; decrementing levels of critical gates when
-the period is missed is a counted fallback.
+down onto the discrete level grid.  The retiming does not come from the
+flow: a feasibility search (retime._feas) retimes the snapped budget, and
+decrementing levels of critical gates when the period is missed is a
+counted fallback.
 """
 from __future__ import annotations
 

@@ -1,14 +1,39 @@
 """Min-cost circulation: cost-scaling solver vs the augmenting-path oracle."""
+import json
 import random
 
 import pytest
 
-from retislack import solve_mcf, ssp_oracle
-from retislack.mcf import (SolverError, residual_potentials,
-                           verify_circulation, verify_optimal)
+from retislack import (generate_random, load_curves, render_circuit,
+                       solve_mcf, ssp_oracle)
+from retislack.mcf import (FlowSolution, SolverError, _raise_potentials,
+                           _Residual, residual_potentials, verify_circulation)
 from retislack.transform import Arc, FlowNetwork, expand, split_graph
 from retislack.recovery import min_slack_period
 from conftest import curves_for
+
+
+def verify_optimal(net, sol):
+    """Raise unless the flow is a circulation with no negative-cost cycle
+    in its residual network (Bellman-Ford from a virtual source at every
+    node, O(n*m))."""
+    verify_circulation(net, sol)
+    residual = []
+    for a, x in zip(net.arcs, sol.flows):
+        if x < a.upper:
+            residual.append((a.src, a.dst, a.cost))
+        if x > 0:
+            residual.append((a.dst, a.src, -a.cost))
+    dist = [0] * net.n_nodes
+    for _ in range(net.n_nodes + 1):
+        changed = False
+        for u, v, c in residual:
+            if dist[u] + c < dist[v]:
+                dist[v] = dist[u] + c
+                changed = True
+        if not changed:
+            return
+    raise SolverError("negative-cost residual cycle: flow is not optimal")
 
 
 def net_of(arc_tuples, n):
@@ -116,7 +141,6 @@ def test_unreachable_node_gets_sentinel():
 
 
 def test_verify_rejects_bad_solutions():
-    from retislack.mcf import FlowSolution
     net = net_of([(0, 1, -5, 3), (1, 0, 1, 10)], 2)
     with pytest.raises(SolverError, match="outside bounds"):
         verify_circulation(net, FlowSolution((4, 4), 0, 0, 0.0))
@@ -137,3 +161,83 @@ def test_solver_statistics_present():
     sol = solve_mcf(net)
     assert sol.iterations >= 0
     assert sol.runtime >= 0.0
+
+
+BIG = 2**40  # beyond the E4 capacity `big` of any benchmark network
+
+ODD_NETWORKS = {
+    "zero capacities": ([(0, 1, -5, 0), (1, 0, -3, 0), (0, 1, -1, 2),
+                         (1, 0, 2, 2), (1, 2, -9, 0)], 3),
+    "negative self-loops": ([(0, 0, -2, 7), (1, 1, -1, 3), (0, 1, -1, 4),
+                             (1, 0, 0, 4), (2, 2, 3, 5)], 3),
+    "parallel equal costs": ([(0, 1, -3, 2), (0, 1, -3, 5), (1, 0, 1, 4),
+                              (1, 0, 1, 4), (1, 2, 0, 3), (2, 0, 0, 3)], 3),
+    "isolated nodes": ([(1, 3, -4, 6), (3, 1, 2, 2), (3, 1, 1, 3)], 6),
+    "large capacities": ([(0, 1, -7, BIG), (1, 2, 3, BIG), (2, 0, 1, BIG),
+                          (1, 0, 5, BIG // 3), (2, 1, -1, BIG)], 3),
+    "large capacities, bottleneck": ([(0, 1, -1000, BIG), (1, 0, 999, 5),
+                                      (1, 2, 0, BIG), (2, 0, 0, 17)], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_NETWORKS))
+def test_oracle_matches_on_odd_networks(name):
+    net = net_of(*ODD_NETWORKS[name])
+    a = solve_mcf(net)
+    b = ssp_oracle(net)
+    assert b.cost == a.cost
+    verify_optimal(net, b)
+
+
+def test_oracle_on_nonnegative_costs_pushes_nothing():
+    net = net_of([(0, 1, 4, 5), (1, 2, 0, 5), (2, 0, 3, 5), (1, 1, 0, 2)], 4)
+    sol = ssp_oracle(net)
+    assert sol.flows == (0, 0, 0, 0)
+    assert (sol.cost, sol.iterations) == (0, 0)
+
+
+def test_oracle_counts_each_augmenting_path():
+    # two disjoint negative arcs, each closed by its own return arc
+    net = net_of([(0, 1, -5, 3), (1, 0, 1, 10), (2, 3, -2, 4), (3, 2, 0, 9)], 4)
+    sol = ssp_oracle(net)
+    assert sol.flows == (3, 3, 4, 4)
+    assert (sol.cost, sol.iterations) == (-20, 2)
+
+
+def test_oracle_guard_rejects_negative_reduced_cost():
+    net = net_of([(0, 1, 1, 5), (1, 0, 1, 5)], 2)
+    with pytest.raises(SolverError, match="negative reduced cost"):
+        # potentials that make the residual arc 0 -> 1 cost 1 + 0 - 3 < 0
+        _raise_potentials(_Residual(net), [0, 3], [1, -1])
+
+
+def _mixed_curve(rng):
+    """A convex curve of 1 to 7 levels with integer slopes (the curve of
+    the check_mixed benchmark workload)."""
+    levels = rng.randint(1, 7)
+    slacks = [0]
+    for _ in range(levels - 1):
+        slacks.append(slacks[-1] + rng.randint(1, 8))
+    slopes = sorted((rng.randint(1, 12) for _ in range(levels - 1)), reverse=True)
+    power = rng.randint(1, 20) + sum(
+        b * (slacks[q + 1] - slacks[q]) for q, b in enumerate(slopes))
+    pairs = [[0, power]]
+    for q, b in enumerate(slopes):
+        power -= b * (slacks[q + 1] - slacks[q])
+        pairs.append([slacks[q + 1], power])
+    return pairs
+
+
+def test_oracle_matches_on_mixed_curve_pipeline_networks():
+    rng = random.Random(6060)
+    for i in range(30):
+        c = generate_random(rng.randint(20, 80), edge_density=2.2,
+                            ff_prob=0.4, seed=6000 + i)
+        names = [line.split()[1] for line in render_circuit(c).splitlines()
+                 if line.startswith("gate ")]
+        curves = load_curves(json.dumps({g: _mixed_curve(rng) for g in names}), c)
+        tmin, _ = min_slack_period(c, curves)
+        net = expand(split_graph(c, (13 * tmin + 9) // 10, curves))  # ceil(1.3 Tmin)
+        b = ssp_oracle(net)
+        assert b.cost == solve_mcf(net).cost
+        verify_optimal(net, b)

@@ -1,11 +1,12 @@
 """Dual recovery, level snapping, and the end-to-end budgeting pipeline."""
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from retislack import (Circuit, Edge, apply_retiming, brute_force,
-                       generate_random, make_curve, parse_circuit,
+                       generate_random, make_curve, parse_circuit, recovery,
                        run_pipeline, sta)
 from retislack.mcf import residual_potentials, solve_mcf
 from retislack.recovery import (BudgetResult, InfeasiblePeriodError,
@@ -222,6 +223,38 @@ def test_pipeline_properties_on_odd_inputs():
         assert max(res.diagnostics["sbar"]) <= res.period
         if c.n <= 10 and all(cur.nlevels <= 4 for cur in curves.values()):
             assert res.total_power >= brute_force(c, res.period, curves).power
+
+
+def test_check_rejects_a_flow_cost_the_oracle_disagrees_with(ring3, monkeypatch):
+    real = recovery.solve_mcf
+
+    def off_by_one(net):
+        sol = real(net)
+        return dataclasses.replace(sol, cost=sol.cost + 1)
+    monkeypatch.setattr(recovery, "solve_mcf", off_by_one)
+    curves = curves_for(ring3)
+    with pytest.raises(RecoveryError, match="disagrees"):
+        run_pipeline(ring3, curves, check=True)
+    run_pipeline(ring3, curves)  # without check the cost is not compared
+
+
+def test_check_leaves_the_answer_unchanged():
+    rng = random.Random(23)
+    for seed in range(20):
+        c = generate_random(rng.randint(10, 60), edge_density=2.0,
+                            ff_prob=0.4, seed=7000 + seed)
+        curves = {j: _random_curve(rng, j) for j in range(c.n)}
+        T = min_slack_period(c, curves)[0] + rng.randint(0, 5)
+        plain = run_pipeline(c, curves, T=T)
+        checked = run_pipeline(c, curves, T=T, check=True)
+        assert checked.assignment == plain.assignment
+        assert checked.retiming == plain.retiming
+        assert checked.achieved_period == plain.achieved_period
+        diag = dict(checked.diagnostics)
+        assert diag.pop("checked") is True
+        del diag["runtime"]
+        assert diag == {k: v for k, v in plain.diagnostics.items()
+                        if k != "runtime"}
 
 
 def test_verify_result_catches_corruption(ring3):
