@@ -84,16 +84,6 @@ class Circuit:
             fo[e.src].append(k)
         return tuple(tuple(x) for x in fo)
 
-    @cached_property
-    def pi(self) -> frozenset[int]:
-        """Gates with no fanin are treated as primary inputs."""
-        return frozenset(i for i in range(self.n) if not self.fanin[i])
-
-    @cached_property
-    def po(self) -> frozenset[int]:
-        """Gates with no fanout are treated as primary outputs."""
-        return frozenset(i for i in range(self.n) if not self.fanout[i])
-
     def gate_id(self, name: str) -> int:
         return self._name_index[name]
 

@@ -49,8 +49,16 @@ def cmd_sta(args) -> int:
     eff = list(c.delays)
     if args.slacks:
         doc = json.loads(_read(args.slacks))
+        if not isinstance(doc, dict):
+            raise CircuitError("slack file must be a JSON object")
         for name, s in doc.items():
-            eff[c.gate_id(name)] += int(s)
+            try:
+                j = c.gate_id(name)
+            except KeyError:
+                raise CircuitError(f"slack file names unknown gate {name!r}") from None
+            if isinstance(s, bool) or not isinstance(s, int):
+                raise CircuitError(f"slack for {name!r} is not an integer")
+            eff[j] += s
     rep = sta(c, args.period, eff)
     print(f"{'gate':<12}{'arrival':>8}{'required':>9}{'slack':>7}")
     for g in c.gates:

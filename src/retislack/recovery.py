@@ -1,6 +1,6 @@
 """Recover a per-gate slack budget from optimal-flow potentials, then retime.
 
-The dual distances fix a potential per split node.  Differences of
+The dual distances fix a potential per dual-graph node.  Differences of
 potentials across the slack-carrying edges give edge slack values; the
 per-gate slack is the minimum of its own window value and the propagation
 values arriving over fanin edges, capped at the period.  Slacks are snapped
@@ -66,7 +66,7 @@ def recover_duals(g: DualGraph, pot: Potentials):
     """Potentials and edge slack values satisfying the dual constraint set.
 
     The potentials are the negated shortest-path distances, shifted so the
-    smallest is 0; every E1/E2/E3 edge's potential difference must cover its
+    smallest is 0; every E1/E2 edge's potential difference must cover its
     lower slack bound.  Returns (mu, s) where s maps dual edge index ->
     slack value for every E1/E2 edge.
     """
@@ -81,8 +81,7 @@ def recover_duals(g: DualGraph, pot: Potentials):
             raise RecoveryError(
                 f"recovered duals infeasible: {e.kind} edge {k} gap {gap} "
                 f"below its lower bound {e.lower}; potentials={pot.dist}")
-        if e.kind != "E3":
-            s[k] = min(e.upper, gap)
+        s[k] = min(e.upper, gap)
     return mu, s
 
 
@@ -187,8 +186,7 @@ def min_slack_period(c: Circuit, curves: dict[int, PowerSlackCurve]):
 
 
 def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
-                 T: int | None = None, n_ff: int | None = None,
-                 check: bool = False) -> BudgetResult:
+                 T: int | None = None, check: bool = False) -> BudgetResult:
     """Full budgeting flow: split, expand, solve, recover, snap, finalize."""
     t0 = time.perf_counter()
     tmin, _ = min_slack_period(c, curves)
@@ -197,7 +195,7 @@ def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
     elif T < tmin:
         raise InfeasiblePeriodError(
             f"period {T} infeasible even at minimum slack (minimum {tmin})")
-    g = split_graph(c, T, curves, n_ff)
+    g = split_graph(c, T, curves)
     net = expand(g)
     sol = solve_mcf(net)
     pot = residual_potentials(net, sol, g.v0, sentinel=g.nff_bar)

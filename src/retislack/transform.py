@@ -1,14 +1,15 @@
-"""Split-vertex dual graph and its expansion into a min-cost circulation.
+"""Dual graph and its expansion into a min-cost circulation.
 
-Every gate i becomes two nodes, lo(i) and hi(i), carrying the scaled
-retiming label and arrival variables.  Edge classes:
+Every gate i becomes one node i carrying its scaled arrival variable; one
+reference node n is the common tail of the slack windows.  There are no
+retiming-label nodes or label-legality edges: the retiming comes from the
+feasibility search (retime._feas), not from the flow.  Edge classes:
 
-  E1  lo(i) -> hi(i)   per gate: the gate's slack window, cost = flattened
+  E1  n -> i           per gate: the gate's slack window, cost = flattened
                        (Q-transformed) curve shifted by the gate delay
-  E2  hi(i) -> hi(j)   per circuit edge: arrival propagation, cost = the
+  E2  i -> j           per circuit edge: arrival propagation, cost = the
                        sink gate's curve scaled by 1/kappa and shifted by
                        d_j - T*w
-  E3  lo(i) -> lo(j)   per circuit edge: retiming legality, cost-free
   E4  v0 -> every node: variable bounds via the start node
 
 Expansion turns each costed edge into parallel arcs, one per curve level:
@@ -37,11 +38,11 @@ class TransformError(ValueError):
 class DualEdge:
     src: int
     dst: int
-    kind: str  # "E1" | "E2" | "E3" | "E4"
+    kind: str  # "E1" | "E2" | "E4"
     lower: int
     upper: int
     curve: PowerSlackCurve | None  # abscissae pre-shifted, powers pre-scaled
-    origin: int  # gate id (E1), circuit edge index (E2/E3), node id (E4)
+    origin: int  # gate id (E1), circuit edge index (E2), node id (E4)
 
 
 @dataclass(frozen=True)
@@ -53,17 +54,11 @@ class DualGraph:
 
     @property
     def n_nodes(self) -> int:
-        return 2 * self.n_gates + 1
+        return self.n_gates + 2
 
     @property
     def v0(self) -> int:
-        return 2 * self.n_gates
-
-    def lo(self, i: int) -> int:
-        return 2 * i
-
-    def hi(self, i: int) -> int:
-        return 2 * i + 1
+        return self.n_gates + 1
 
     @cached_property
     def e1_index(self) -> dict[int, int]:
@@ -94,7 +89,7 @@ def split_graph(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
         d = c.delays[i]
         cur = curves[i]
         qcur = shift_slacks(q_transform(cur), d)
-        edges.append(DualEdge(2 * i, 2 * i + 1, "E1",
+        edges.append(DualEdge(c.n, i, "E1",
                               d + cur.slacks[0], d + cur.slacks[-1], qcur, i))
     for k, e in enumerate(c.edges):
         j = e.dst
@@ -102,14 +97,11 @@ def split_graph(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
         cur = curves[j]
         kappa = penalty_divisor(c, j)
         pen = shift_slacks(scale_powers(cur, Fraction(1, kappa)), d - T * e.w)
-        edges.append(DualEdge(2 * e.src + 1, 2 * j + 1, "E2",
+        edges.append(DualEdge(e.src, j, "E2",
                               d + cur.slacks[0] - T * e.w,
                               d + cur.slacks[-1] - T * e.w, pen, k))
-    for k, e in enumerate(c.edges):
-        edges.append(DualEdge(2 * e.src, 2 * e.dst, "E3",
-                              -T * e.w, nff_bar, None, k))
-    v0 = 2 * c.n
-    for node in range(2 * c.n):
+    v0 = c.n + 1
+    for node in range(v0):
         edges.append(DualEdge(v0, node, "E4", 0, nff_bar, None, node))
     return DualGraph(c.n, T, nff_bar, tuple(edges))
 
@@ -182,8 +174,6 @@ def expand(g: DualGraph) -> FlowNetwork:
                 assert Fraction(cap).denominator == 1, "capacity scale does not clear slopes"
                 cap = int(cap)
                 arcs.append(Arc(e.src, e.dst, -s[q], 0, cap, (k, seg)))
-        elif e.kind == "E3":
-            arcs.append(Arc(e.src, e.dst, -e.lower, 0, big, (k, 0)))
         else:  # E4: free forward arc plus a rewritten negative-bound arc
             arcs.append(Arc(e.dst, e.src, -g.nff_bar, 0, big, (k, 0)))
             arcs.append(Arc(e.src, e.dst, 0, 0, big, (k, 1)))

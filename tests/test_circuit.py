@@ -58,15 +58,6 @@ def test_combinational_cycle_rejected():
         parse_circuit(text)
 
 
-def test_pi_po_classification(ring3):
-    # the ring has no pure inputs/outputs
-    assert ring3.pi == frozenset()
-    assert ring3.po == frozenset()
-    chain = parse_circuit("gate a 1\ngate b 2\nedge a b 0\n")
-    assert chain.pi == frozenset({0})
-    assert chain.po == frozenset({1})
-
-
 def test_sta_ring3_period6(ring3):
     rep = sta(ring3, 6)
     assert rep.arrival == (2, 5, 4)

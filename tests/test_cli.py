@@ -36,6 +36,17 @@ def test_sta_with_extra_slack(tmp_path, capsys):
     assert main(["sta", ckt, "--period", "7", "--slacks", slacks]) == 0
 
 
+def test_sta_bad_slack_file_is_input_error(tmp_path, capsys):
+    ckt = write(tmp_path, "r.ckt", RING3_TEXT)
+    for text, msg in (('{"zz": 1}', "unknown gate 'zz'"),
+                      ("[1, 2]", "must be a JSON object"),
+                      ('{"a": null}', "not an integer"),
+                      ('{"a": 1.5}', "not an integer")):
+        slacks = write(tmp_path, "s.json", text)
+        assert main(["sta", ckt, "--period", "7", "--slacks", slacks]) == 1
+        assert msg in capsys.readouterr().err
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert main(["sta", str(tmp_path / "nope.ckt"), "--period", "5"]) == 1
     assert "error" in capsys.readouterr().err

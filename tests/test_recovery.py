@@ -8,7 +8,7 @@ import pytest
 from retislack import (Circuit, Edge, apply_retiming, brute_force,
                        generate_random, make_curve, parse_circuit, recovery,
                        run_pipeline, sta)
-from retislack.mcf import residual_potentials, solve_mcf
+from retislack.mcf import Potentials, residual_potentials, solve_mcf
 from retislack.recovery import (BudgetResult, InfeasiblePeriodError,
                                 RecoveryError, SlackAssignment, finalize,
                                 min_slack_period, recover_duals,
@@ -82,8 +82,16 @@ def test_recover_duals_feasible_on_ring(ring3):
         if e.kind in ("E1", "E2"):
             assert gap >= e.lower
             assert s_vals[k] == min(e.upper, gap)
-        elif e.kind == "E3":
-            assert gap >= e.lower
+
+
+def test_recover_duals_rejects_violated_lower_bounds(ring3):
+    g = split_graph(ring3, 5, curves_for(ring3))
+    # all potentials equal: every E1 gap is 0, below the gate's delay
+    with pytest.raises(RecoveryError, match="E1 edge"):
+        recover_duals(g, Potentials((0,) * g.n_nodes))
+    # E1 gaps exactly at their bounds (2, 3, 4), but a -> b gains only 1 of 3
+    with pytest.raises(RecoveryError, match="E2 edge"):
+        recover_duals(g, Potentials((-2, -3, -4, 0, 0)))
 
 
 def test_recover_duals_single_level_curve_forced():
@@ -221,6 +229,8 @@ def test_pipeline_properties_on_odd_inputs():
         res = run_pipeline(c, curves, T=T, check=True)
         assert res.diagnostics["checked"]
         assert max(res.diagnostics["sbar"]) <= res.period
+        # the reference node (node n, the tail of every E1 edge) sits at 0
+        assert res.diagnostics["mu"][c.n] == 0
         if c.n <= 10 and all(cur.nlevels <= 4 for cur in curves.values()):
             assert res.total_power >= brute_force(c, res.period, curves).power
 

@@ -11,13 +11,14 @@ from conftest import curves_for
 
 def test_split_ring3_structure(ring3):
     g = split_graph(ring3, 5, curves_for(ring3))
-    assert g.n_nodes == 7
-    assert g.v0 == 6
+    assert g.n_nodes == 5  # one node per gate, the reference node, v0
+    assert g.v0 == 4
     kinds = [e.kind for e in g.edges]
     assert kinds.count("E1") == 3
     assert kinds.count("E2") == 3
-    assert kinds.count("E3") == 3
-    assert kinds.count("E4") == 6
+    assert "E3" not in kinds
+    assert kinds.count("E4") == 4
+    assert all(e.src == 3 for e in g.edges if e.kind == "E1")
     assert g.nff_bar == 2 * 5  # two FFs total, period 5
 
 
@@ -29,8 +30,6 @@ def test_split_ring3_bounds(ring3):
     e2 = [e for e in g.edges if e.kind == "E2"]
     # sink gate window shifted down by T per FF on the circuit edge
     assert [(e.lower, e.upper) for e in e2] == [(3, 36), (-1, 32), (-3, 30)]
-    e3 = [e for e in g.edges if e.kind == "E3"]
-    assert [(e.lower, e.upper) for e in e3] == [(0, 10), (-5, 10), (-5, 10)]
     e4 = [e for e in g.edges if e.kind == "E4"]
     assert all(e.lower == 0 and e.upper == 10 and e.src == g.v0 for e in e4)
 
@@ -40,17 +39,8 @@ def test_split_self_loop_bounds():
     curves = curves_for(c)
     g = split_graph(c, 10, curves)
     e2 = next(e for e in g.edges if e.kind == "E2")
-    e3 = next(e for e in g.edges if e.kind == "E3")
-    assert (e2.src, e2.dst) == (1, 1)
-    assert (e3.src, e3.dst) == (0, 0)
+    assert (e2.src, e2.dst) == (0, 0)
     assert e2.lower == 6 + 0 - 10
-    assert e3.lower == -10
-
-
-def test_split_zero_ff_edge_has_zero_e3_lower(ring3):
-    g = split_graph(ring3, 5, curves_for(ring3))
-    e3 = [e for e in g.edges if e.kind == "E3"]
-    assert e3[0].lower == 0  # the w=0 ring edge
 
 
 def test_split_rejects_impossible_period(ring3):
@@ -100,15 +90,12 @@ def test_expand_caps_reconstruct_breakpoints(ring3):
         assert drop == p[0] - p[-1]
 
 
-def test_expand_e3_e4_arcs(ring3):
+def test_expand_e4_arcs(ring3):
     g = split_graph(ring3, 5, curves_for(ring3))
     net = expand(g)
     big = net.m_cap * net.scale
-    e3 = [a for a in net.arcs
-          if g.edges[a.origin[0]].kind == "E3"]
-    assert [(a.cost, a.upper) for a in e3] == [(0, big), (5, big), (5, big)]
     e4 = [a for a in net.arcs if g.edges[a.origin[0]].kind == "E4"]
-    assert len(e4) == 12  # reverse + forward per node
+    assert len(e4) == 8  # reverse + forward per node other than v0
     rev = [a for a in e4 if a.dst == g.v0]
     fwd = [a for a in e4 if a.src == g.v0]
     assert all(a.cost == -g.nff_bar and a.upper == big for a in rev)
