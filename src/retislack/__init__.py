@@ -3,10 +3,10 @@
 from .circuit import (Circuit, CircuitError, Edge, Gate, TimingReport,
                       generate_random, parse_circuit, render_circuit, sta)
 from .exact import OracleResult, brute_force, oracle_min_period
-from .mcf import (FlowSolution, Potentials, SolverError, residual_potentials,
-                  solve_mcf, ssp_oracle)
+from .mcf import (FlowSolution, SolverError, residual_potentials, solve_mcf,
+                  ssp_oracle)
 from .power import (CurveError, PowerSlackCurve, breakpoints, load_curves,
-                    make_curve, penalty_divisor, q_transform, validate_curve)
+                    make_curve, penalty_divisor, validate_curve)
 from .recovery import (BudgetResult, InfeasiblePeriodError, RecoveryError,
                        SlackAssignment, finalize, recover_duals,
                        recover_slacks, run_pipeline, snap_levels)

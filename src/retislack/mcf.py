@@ -30,11 +30,6 @@ class FlowSolution:
     runtime: float
 
 
-@dataclass(frozen=True)
-class Potentials:
-    dist: tuple[int, ...]
-
-
 _LIMIT = 1 << 62
 
 
@@ -321,7 +316,7 @@ def _spfa(n, head, cost, res, adj, sources):
 
 
 def residual_potentials(net: FlowNetwork, sol: FlowSolution, source: int,
-                        sentinel: int | None = None) -> Potentials:
+                        sentinel: int | None = None) -> tuple[int, ...]:
     """Shortest residual distances from `source` given an optimal flow.
 
     Unreachable nodes get the sentinel distance (the loosest feasible
@@ -335,8 +330,7 @@ def residual_potentials(net: FlowNetwork, sol: FlowSolution, source: int,
     finite = [d for d in dist if d is not None]
     if sentinel is None:
         sentinel = max(finite) if finite else 0
-    out = tuple(d if d is not None else sentinel for d in dist)
-    return Potentials(out)
+    return tuple(d if d is not None else sentinel for d in dist)
 
 
 def verify_circulation(net: FlowNetwork, sol: FlowSolution) -> None:

@@ -2,9 +2,9 @@
 
 A curve is an ordered list of (slack, power) levels.  Power must be
 nonincreasing and convex in slack: the magnitudes of the segment slopes
-(the breakpoints) are nonincreasing from left to right.  Powers are read
-as integers from input files, but all derived quantities (breakpoints,
-penalty-scaled curves) are exact rationals.
+(the breakpoints) are nonincreasing from left to right.  Slacks and powers
+are integers; all derived quantities (breakpoints, penalty-scaled curves)
+are exact rationals.
 """
 from __future__ import annotations
 
@@ -38,8 +38,13 @@ class PowerSlackCurve:
 
 
 def make_curve(pairs, gate=None) -> PowerSlackCurve:
-    levels = tuple((int(s), Fraction(p)) for s, p in pairs)
-    c = PowerSlackCurve(levels, gate)
+    """Curve from (slack, power) pairs of ints (a bool is not an int)."""
+    levels = []
+    for s, p in pairs:
+        if type(s) is not int or type(p) is not int:
+            raise CurveError(f"level [{s!r}, {p!r}]: slack and power must be integers")
+        levels.append((s, Fraction(p)))
+    c = PowerSlackCurve(tuple(levels), gate)
     validate_curve(c)
     return c
 
@@ -69,20 +74,6 @@ def breakpoints(curve: PowerSlackCurve) -> list[Fraction]:
     s = curve.slacks
     p = curve.powers
     return [(p[q - 1] - p[q]) / (s[q] - s[q - 1]) for q in range(1, len(s))]
-
-
-def q_transform(curve: PowerSlackCurve) -> PowerSlackCurve:
-    """Flatten the curve left of its power minimum.
-
-    Levels at or below the minimum-power slack (the smallest such slack on
-    ties) take the minimum power, levels above keep theirs.  Idempotent.
-    """
-    powers = curve.powers
-    pmin = min(powers)
-    idx = powers.index(pmin)
-    s_star = curve.slacks[idx]
-    levels = tuple((s, pmin if s <= s_star else p) for s, p in curve.levels)
-    return PowerSlackCurve(levels, curve.gate)
 
 
 def penalty_divisor(c: Circuit, j: int) -> int:

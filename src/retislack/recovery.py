@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circuit import Circuit, IncrementalTiming, arrivals, sta
-from .mcf import Potentials, residual_potentials, solve_mcf, ssp_oracle
+from .mcf import residual_potentials, solve_mcf, ssp_oracle
 from .power import PowerSlackCurve
 from .retime import Retiming, _feas, min_period, retimed_weights
 from .transform import DualGraph, expand, split_graph
@@ -62,7 +62,7 @@ class BudgetResult:
         return self.assignment.total_slack
 
 
-def recover_duals(g: DualGraph, pot: Potentials):
+def recover_duals(g: DualGraph, dist: tuple[int, ...]):
     """Potentials and edge slack values satisfying the dual constraint set.
 
     The potentials are the negated shortest-path distances, shifted so the
@@ -70,8 +70,8 @@ def recover_duals(g: DualGraph, pot: Potentials):
     lower slack bound.  Returns (mu, s) where s maps dual edge index ->
     slack value for every E1/E2 edge.
     """
-    top = max(pot.dist)
-    mu = tuple(top - d for d in pot.dist)
+    top = max(dist)
+    mu = tuple(top - d for d in dist)
     s = {}
     for k, e in enumerate(g.edges):
         if e.kind == "E4":
@@ -80,7 +80,7 @@ def recover_duals(g: DualGraph, pot: Potentials):
         if gap < e.lower:
             raise RecoveryError(
                 f"recovered duals infeasible: {e.kind} edge {k} gap {gap} "
-                f"below its lower bound {e.lower}; potentials={pot.dist}")
+                f"below its lower bound {e.lower}; distances={dist}")
         s[k] = min(e.upper, gap)
     return mu, s
 
@@ -198,8 +198,8 @@ def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
     g = split_graph(c, T, curves)
     net = expand(g)
     sol = solve_mcf(net)
-    pot = residual_potentials(net, sol, g.v0, sentinel=g.nff_bar)
-    mu, s_vals = recover_duals(g, pot)
+    dist = residual_potentials(net, sol, g.v0, sentinel=g.nff_bar)
+    mu, s_vals = recover_duals(g, dist)
     sbar = recover_slacks(g, c, s_vals)
     assignment = snap_levels(sbar, curves, c.delays)
     result = finalize(c, T, curves, assignment)

@@ -5,17 +5,20 @@ reference node n is the common tail of the slack windows.  There are no
 retiming-label nodes or label-legality edges: the retiming comes from the
 feasibility search (retime._feas), not from the flow.  Edge classes:
 
-  E1  n -> i           per gate: the gate's slack window, cost = flattened
-                       (Q-transformed) curve shifted by the gate delay
+  E1  n -> i           per gate: the gate's slack window, one uncapacitated
+                       arc at its lower bound d_i + first slack; accepted
+                       curves never rise, so the flattened (Q-transformed)
+                       cost the paper puts here is a constant
   E2  i -> j           per circuit edge: arrival propagation, cost = the
                        sink gate's curve scaled by 1/kappa and shifted by
                        d_j - T*w
   E4  v0 -> every node: variable bounds via the start node
 
-Expansion turns each costed edge into parallel arcs, one per curve level:
-arc costs are the negated level abscissae and arc capacities the slope
-drops between consecutive breakpoints, scaled by D to integers.  The
-result is a pure circulation instance with all lower bounds zero.
+Expansion turns each E2 edge into parallel arcs, one per usable curve
+level: arc costs are the negated level abscissae and arc capacities the
+slope drops between consecutive breakpoints, scaled by D to integers; a
+level whose slope drop is zero gives no arc.  The result is a pure
+circulation instance with all lower bounds zero and no zero-capacity arc.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .circuit import Circuit
-from .power import (PowerSlackCurve, breakpoints, penalty_divisor, q_transform,
+from .power import (PowerSlackCurve, breakpoints, penalty_divisor,
                     scale_powers, shift_slacks)
 
 
@@ -41,7 +44,7 @@ class DualEdge:
     kind: str  # "E1" | "E2" | "E4"
     lower: int
     upper: int
-    curve: PowerSlackCurve | None  # abscissae pre-shifted, powers pre-scaled
+    curve: PowerSlackCurve | None  # E2 only: abscissae pre-shifted, powers pre-scaled
     origin: int  # gate id (E1), circuit edge index (E2), node id (E4)
 
 
@@ -88,9 +91,8 @@ def split_graph(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
     for i in range(c.n):
         d = c.delays[i]
         cur = curves[i]
-        qcur = shift_slacks(q_transform(cur), d)
         edges.append(DualEdge(c.n, i, "E1",
-                              d + cur.slacks[0], d + cur.slacks[-1], qcur, i))
+                              d + cur.slacks[0], d + cur.slacks[-1], None, i))
     for k, e in enumerate(c.edges):
         j = e.dst
         d = c.delays[j]
@@ -135,16 +137,9 @@ def _lcm(a: int, b: int) -> int:
 
 def expand(g: DualGraph) -> FlowNetwork:
     """Expand the dual graph into an integer min-cost circulation network."""
-    all_bs: list[list[Fraction]] = []
-    for e in g.edges:
-        if e.curve is not None:
-            bs = breakpoints(e.curve)
-            for b in bs:
-                if b < 0:
-                    raise TransformError(f"negative capacity slope on {e.kind} edge")
-            all_bs.append(bs)
-        else:
-            all_bs.append([])
+    all_bs = [breakpoints(e.curve) if e.curve is not None else [] for e in g.edges]
+    if any(b < 0 for bs in all_bs for b in bs):
+        raise TransformError("negative capacity slope on an E2 edge")
     scale = 1
     for bs in all_bs:
         for b in bs:
@@ -155,7 +150,9 @@ def expand(g: DualGraph) -> FlowNetwork:
 
     arcs: list[Arc] = []
     for k, e in enumerate(g.edges):
-        if e.kind in ("E1", "E2"):
+        if e.kind == "E1":
+            arcs.append(Arc(e.src, e.dst, -e.lower, 0, big, (k, 0)))
+        elif e.kind == "E2":
             cur = e.curve
             s = cur.slacks
             L = len(s)
@@ -172,8 +169,8 @@ def expand(g: DualGraph) -> FlowNetwork:
                 if cap < 0:
                     raise TransformError("negative capacity (non-convex curve leaked through)")
                 assert Fraction(cap).denominator == 1, "capacity scale does not clear slopes"
-                cap = int(cap)
-                arcs.append(Arc(e.src, e.dst, -s[q], 0, cap, (k, seg)))
+                if cap:
+                    arcs.append(Arc(e.src, e.dst, -s[q], 0, int(cap), (k, seg)))
         else:  # E4: free forward arc plus a rewritten negative-bound arc
             arcs.append(Arc(e.dst, e.src, -g.nff_bar, 0, big, (k, 0)))
             arcs.append(Arc(e.src, e.dst, 0, 0, big, (k, 1)))

@@ -8,7 +8,7 @@ linear cost term with epigraph constraints.  Two variants are exposed:
                           the raw curve (flat beyond its last level)
   variant "substituted":  gate windows capped at the curve's own top level,
                           period cap dropped, gate cost = the flattened
-                          curve
+                          curve (its minimum power at every level)
 
 The label polytope is a difference system with integer data and all cost
 breakpoints are integers, so the optimum is attained at integer labels and
@@ -23,7 +23,6 @@ from math import gcd
 import numpy as np
 from scipy.optimize import linprog
 
-from retislack import q_transform
 from retislack.power import penalty_divisor
 
 
@@ -100,7 +99,7 @@ def relaxed_optimum(c, T, curves, variant):
             pairs = cur.levels
         else:
             win_hi = d + cur.slacks[-1]
-            pairs = q_transform(cur).levels
+            pairs = [(s, min(cur.powers)) for s in cur.slacks]
         # gate window: d + first slack <= hi - lo <= win_hi
         A_ub.append(row([(j, 1.0), (n + j, -1.0)]))
         b_ub.append(float(-(d + cur.slacks[0])))

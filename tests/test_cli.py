@@ -94,6 +94,15 @@ def test_budget_bad_curves(tmp_path, capsys):
     assert main(["budget", ckt, cur]) == 1
 
 
+def test_budget_fractional_power_is_input_error(tmp_path, capsys):
+    # an input error, not a solver guard tripping on unscalable rationals
+    ckt = write(tmp_path, "r.ckt", RING3_TEXT)
+    cur = write(tmp_path, "c.json",
+                '{"default": [[0, 100.1], [10, 60], [20, 30.3], [33, 10]]}')
+    assert main(["budget", ckt, cur]) == 1
+    assert "error: curve for 'default'" in capsys.readouterr().err
+
+
 def test_budget_json_document(tmp_path, capsys):
     ckt = write(tmp_path, "r.ckt", RING3_TEXT)
     cur = write(tmp_path, "c.json", CURVES_TEXT)

@@ -110,8 +110,8 @@ def test_residual_potentials_star():
     # zero optimal flow on positive costs: distances = direct arc costs
     net = net_of([(0, 1, 4, 5), (0, 2, 7, 5)], 3)
     sol = solve_mcf(net)
-    pot = residual_potentials(net, sol, 0)
-    assert pot.dist == (0, 4, 7)
+    dist = residual_potentials(net, sol, 0)
+    assert dist == (0, 4, 7)
 
 
 def test_residual_potentials_reduced_cost_property():
@@ -121,23 +121,23 @@ def test_residual_potentials_reduced_cost_property():
         net = random_net(n, 3 * n, rng, cost_range=50, cap_range=9)
         sol = solve_mcf(net)
         marker = 10**9  # flags nodes the search never reaches
-        pot = residual_potentials(net, sol, 0, sentinel=marker)
-        reach = [d != marker for d in pot.dist]
+        dist = residual_potentials(net, sol, 0, sentinel=marker)
+        reach = [d != marker for d in dist]
         for k, a in enumerate(net.arcs):
             if not (reach[a.src] and reach[a.dst]):
                 continue
             x = sol.flows[k]
             if x < a.upper:  # forward residual arc
-                assert pot.dist[a.dst] <= pot.dist[a.src] + a.cost
+                assert dist[a.dst] <= dist[a.src] + a.cost
             if x > 0:  # reverse residual arc
-                assert pot.dist[a.src] <= pot.dist[a.dst] - a.cost
+                assert dist[a.src] <= dist[a.dst] - a.cost
 
 
 def test_unreachable_node_gets_sentinel():
     net = net_of([(0, 1, 3, 2)], 3)
     sol = solve_mcf(net)
-    pot = residual_potentials(net, sol, 0, sentinel=42)
-    assert pot.dist[2] == 42
+    dist = residual_potentials(net, sol, 0, sentinel=42)
+    assert dist[2] == 42
 
 
 def test_verify_rejects_bad_solutions():

@@ -1,10 +1,10 @@
-"""Power-slack curves: validation, breakpoints, flattening, scaling."""
+"""Power-slack curves: validation, breakpoints, scaling, loading."""
 from fractions import Fraction
 
 import pytest
 
 from retislack import (CurveError, breakpoints, load_curves, make_curve,
-                       parse_circuit, penalty_divisor, q_transform)
+                       parse_circuit, penalty_divisor)
 from retislack.power import scale_powers, shift_slacks
 from conftest import CURVE4_PAIRS
 
@@ -50,22 +50,6 @@ def test_curve_drop_matches_breakpoint_times_gap(curve4):
         assert p[q - 1] - p[q] == bs[q - 1] * (s[q] - s[q - 1])
 
 
-def test_q_transform_decreasing_curve(curve4):
-    q = q_transform(curve4)
-    assert all(p == 10 for p in q.powers)
-    assert q.slacks == curve4.slacks
-
-
-def test_q_transform_tie_takes_smallest_slack():
-    q = q_transform(make_curve([(0, 5), (10, 5)]))
-    assert q.powers == (5, 5)
-
-
-def test_q_transform_idempotent(curve4):
-    q = q_transform(curve4)
-    assert q_transform(q).levels == q.levels
-
-
 def test_penalty_divisor_counts_zero_ff_fanins():
     c = parse_circuit(
         "gate a 1\ngate b 1\ngate c 1\ngate d 1\n"
@@ -109,3 +93,10 @@ def test_load_curves_errors():
         load_curves('{"zz": [[0, 1]]}', c)
     with pytest.raises(CurveError, match="curve for 'a'"):
         load_curves('{"a": [[0, 10], [5, 20]]}', c)
+    # slacks and powers are ints: no truncation, no bool or string coercion
+    for bad in ('[[0, 100], [1.9, 50], [2.5, 10]]',
+                '[[0, 100.1], [10, 60], [20, 30.3], [33, 10]]',
+                '[[0, true], [10, false]]',
+                '[[0, "100"], [10, "60"]]'):
+        with pytest.raises(CurveError, match="curve for 'a': .*must be integers"):
+            load_curves('{"a": %s}' % bad, c)

@@ -8,7 +8,7 @@ import pytest
 from retislack import (Circuit, Edge, apply_retiming, brute_force,
                        generate_random, make_curve, parse_circuit, recovery,
                        run_pipeline, sta)
-from retislack.mcf import Potentials, residual_potentials, solve_mcf
+from retislack.mcf import residual_potentials, solve_mcf
 from retislack.recovery import (BudgetResult, InfeasiblePeriodError,
                                 RecoveryError, SlackAssignment, finalize,
                                 min_slack_period, recover_duals,
@@ -74,8 +74,8 @@ def test_recover_duals_feasible_on_ring(ring3):
     g = split_graph(ring3, 5, curves)
     net = expand(g)
     sol = solve_mcf(net)
-    pot = residual_potentials(net, sol, g.v0, sentinel=g.nff_bar)
-    mu, s_vals = recover_duals(g, pot)
+    dist = residual_potentials(net, sol, g.v0, sentinel=g.nff_bar)
+    mu, s_vals = recover_duals(g, dist)
     assert all(0 <= x <= g.nff_bar for x in mu)
     for k, e in enumerate(g.edges):
         gap = mu[e.dst] - mu[e.src]
@@ -88,10 +88,10 @@ def test_recover_duals_rejects_violated_lower_bounds(ring3):
     g = split_graph(ring3, 5, curves_for(ring3))
     # all potentials equal: every E1 gap is 0, below the gate's delay
     with pytest.raises(RecoveryError, match="E1 edge"):
-        recover_duals(g, Potentials((0,) * g.n_nodes))
+        recover_duals(g, (0,) * g.n_nodes)
     # E1 gaps exactly at their bounds (2, 3, 4), but a -> b gains only 1 of 3
     with pytest.raises(RecoveryError, match="E2 edge"):
-        recover_duals(g, Potentials((-2, -3, -4, 0, 0)))
+        recover_duals(g, (-2, -3, -4, 0, 0))
 
 
 def test_recover_duals_single_level_curve_forced():
@@ -100,8 +100,8 @@ def test_recover_duals_single_level_curve_forced():
     g = split_graph(c, 9, curves)
     net = expand(g)
     sol = solve_mcf(net)
-    pot = residual_potentials(net, sol, g.v0, sentinel=g.nff_bar)
-    _, s_vals = recover_duals(g, pot)
+    dist = residual_potentials(net, sol, g.v0, sentinel=g.nff_bar)
+    _, s_vals = recover_duals(g, dist)
     assert s_vals[g.e1_index[0]] == 5  # delay 3 + the only slack level 2
 
 

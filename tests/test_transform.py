@@ -1,10 +1,11 @@
 """Dual-graph construction and expansion into a circulation network."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from retislack import (breakpoints, expand, make_curve, parse_circuit,
-                       split_graph)
+from retislack import (breakpoints, expand, generate_random, make_curve,
+                       parse_circuit, split_graph)
 from retislack.transform import DualEdge, DualGraph, TransformError
 from conftest import curves_for
 
@@ -65,29 +66,77 @@ def test_expand_four_level_edge_arcs():
     ]
 
 
-def test_expand_caps_reconstruct_breakpoints(ring3):
-    g = split_graph(ring3, 6, curves_for(ring3))
-    net = expand(g)
+def _e2_caps_rebuild_breakpoints(g, net):
+    """Rebuild each E2 curve's slopes from its arcs' (edge, segment) origins."""
     D = net.scale
     for k, e in enumerate(g.edges):
-        if e.kind not in ("E1", "E2"):
+        if e.kind != "E2":
             continue
-        arcs = [a for a in net.arcs if a.origin and a.origin[0] == k]
         L = e.curve.nlevels
-        assert len(arcs) == L
-        assert [a.cost for a in arcs] == [-s for s in reversed(e.curve.slacks)]
+        by_seg = {a.origin[1]: a for a in net.arcs if a.origin[0] == k}
+        assert set(by_seg) <= set(range(L)) and L - 1 in by_seg
+        for seg, a in by_seg.items():
+            assert a.cost == -e.curve.slacks[L - 1 - seg]
+        # a segment without an arc has capacity 0; suffix sums of the finite
+        # caps rebuild the scaled slopes b(L)..b(2)
+        caps = [by_seg[seg].upper if seg in by_seg else 0 for seg in range(L)]
         bs = breakpoints(e.curve)
-        # suffix sums of the finite caps rebuild the scaled slopes b(L)..b(2)
-        acc = 0
-        rebuilt = []
-        for a in arcs[:-1]:
-            acc += a.upper
-            rebuilt.append(Fraction(acc, D))
+        rebuilt = [Fraction(sum(caps[:seg + 1]), D) for seg in range(L - 1)]
         assert rebuilt == list(reversed(bs))
         # and the caps account for the full power drop of the curve
         s, p = e.curve.slacks, e.curve.powers
         drop = sum(Fraction(b) * (s[q + 1] - s[q]) for q, b in enumerate(bs))
         assert drop == p[0] - p[-1]
+
+
+def test_expand_caps_reconstruct_breakpoints(ring3):
+    g = split_graph(ring3, 6, curves_for(ring3))
+    _e2_caps_rebuild_breakpoints(g, expand(g))
+
+
+def test_expand_drops_zero_capacity_arcs(ring3):
+    # slopes 2, 2, 1: the repeated slope leaves one segment with no arc
+    cur = make_curve([(0, 50), (4, 42), (8, 34), (12, 30)])
+    g = DualGraph(1, 5, 5, (DualEdge(0, 1, "E2", 0, 12, cur, 0),))
+    net = expand(g)
+    assert len(net.arcs) == 3
+    assert [a.origin[1] for a in net.arcs] == [0, 1, 3]  # no arc for segment 2
+    _e2_caps_rebuild_breakpoints(g, net)
+    # every arc of a whole network can carry flow, and each gate window is
+    # exactly one uncapacitated arc at its lower bound
+    g = split_graph(ring3, 6, curves_for(ring3))
+    net = expand(g)
+    big = net.m_cap * net.scale
+    assert all(a.upper > 0 for a in net.arcs)
+    for k, e in enumerate(g.edges):
+        if e.kind == "E1":
+            assert e.curve is None
+            arcs = [a for a in net.arcs if a.origin[0] == k]
+            assert [(a.src, a.dst, a.cost, a.upper) for a in arcs] == [
+                (g.n_gates, e.dst, -e.lower, big)]
+
+
+def test_expand_arcs_on_random_curves():
+    # repeated and zero slopes: no zero-capacity arc, one arc per gate window
+    rng = random.Random(8)
+    for seed in range(40):
+        c = generate_random(rng.randint(2, 25), edge_density=2.0,
+                            ff_prob=0.4, seed=seed)
+        curves = {}
+        for j in range(c.n):
+            slopes = sorted(rng.choice((0, 1, 2, 2, 5)) for _ in range(rng.randint(0, 4)))
+            pairs = [(rng.choice((0, 2)), 200)]
+            for b in reversed(slopes):
+                gap = rng.randint(1, 6)
+                pairs.append((pairs[-1][0] + gap, pairs[-1][1] - b * gap))
+            curves[j] = make_curve(pairs, gate=j)
+        g = split_graph(c, sum(c.delays) + 40, curves)
+        net = expand(g)
+        assert all(a.upper > 0 for a in net.arcs)
+        e1_arcs = [a for a in net.arcs if g.edges[a.origin[0]].kind == "E1"]
+        assert len(e1_arcs) == c.n
+        assert all(a.upper == net.m_cap * net.scale for a in e1_arcs)
+        _e2_caps_rebuild_breakpoints(g, net)
 
 
 def test_expand_e4_arcs(ring3):
