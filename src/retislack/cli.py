@@ -40,10 +40,6 @@ def _load_circuit(path: str) -> Circuit:
     return parse_circuit(_read(path))
 
 
-def _fmt_power(p: Fraction) -> str:
-    return str(p) if p.denominator != 1 else str(p.numerator)
-
-
 def cmd_sta(args) -> int:
     c = _load_circuit(args.circuit)
     eff = list(c.delays)
@@ -95,7 +91,7 @@ def cmd_budget(args) -> int:
     runtime = time.perf_counter() - t0
     print(f"period      {result.period}")
     print(f"achieved    {result.achieved_period}")
-    print(f"total_power {_fmt_power(result.total_power)}")
+    print(f"total_power {result.total_power}")
     print(f"total_slack {result.total_slack}")
     print(f"runtime_ms  {runtime * 1000.0:.1f}")
     if args.json:
@@ -103,12 +99,12 @@ def cmd_budget(args) -> int:
         doc = {
             "period": result.period,
             "achieved_period": result.achieved_period,
-            "total_power": _fmt_power(result.total_power),
+            "total_power": str(result.total_power),
             "total_slack": result.total_slack,
             "gates": {
                 g.name: {
                     "slack": result.assignment.slacks[g.id],
-                    "power": _fmt_power(result.assignment.powers[g.id]),
+                    "power": str(result.assignment.powers[g.id]),
                 }
                 for g in c.gates
             },
@@ -118,7 +114,7 @@ def cmd_budget(args) -> int:
                 "repair_steps": len(diag["repair_steps"]),
                 "solver_iterations": diag["solver_iterations"],
                 "flow_cost": diag["flow_cost"],
-                "snap_power": _fmt_power(diag["snap_power"]),
+                "snap_power": str(diag["snap_power"]),
             },
         }
         with open(args.json, "w", encoding="utf-8") as f:
@@ -156,14 +152,14 @@ def cmd_bench(args) -> int:
         tmin = result.diagnostics["tmin"]
         row = {
             "name": name, "gates": c.n, "edges": len(c.edges), "Tmin": tmin,
-            "power_flow": _fmt_power(result.total_power),
+            "power_flow": result.total_power,
             "power_oracle": "", "slack_flow": result.total_slack,
             "slack_oracle": "", "runtime_ms": f"{ms:.1f}",
         }
         if c.n <= 10 and max(cur.nlevels for cur in curves.values()) <= 4:
             opt = brute_force(c, tmin, curves)
             if opt is not None:
-                row["power_oracle"] = _fmt_power(opt.power)
+                row["power_oracle"] = opt.power
                 row["slack_oracle"] = opt.total_slack
         rows.append(row)
     out = io.StringIO()
@@ -176,7 +172,7 @@ def cmd_bench(args) -> int:
         avg = {
             "name": "Avg", "gates": "", "edges": "",
             "Tmin": "",
-            "power_flow": f"{sum(Fraction(r['power_flow']) for r in rows) / len(rows)}",
+            "power_flow": f"{Fraction(sum(r['power_flow'] for r in rows), len(rows))}",
             "power_oracle": "",
             "slack_flow": f"{sum(r['slack_flow'] for r in rows) / len(rows):.1f}",
             "slack_oracle": "",
@@ -185,9 +181,8 @@ def cmd_bench(args) -> int:
         diff = {k: "" for k in _BENCH_FIELDS}
         diff["name"] = "Diff"
         if compared:
-            pgap = sum(
-                (Fraction(r["power_flow"]) - Fraction(r["power_oracle"]))
-                / Fraction(r["power_oracle"]) for r in compared) / len(compared)
+            pgap = sum(Fraction(r["power_flow"] - r["power_oracle"], r["power_oracle"])
+                       for r in compared) / len(compared)
             sgap = sum(
                 Fraction(r["slack_flow"] - r["slack_oracle"],
                          r["slack_oracle"]) if r["slack_oracle"] else Fraction(0)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .circuit import Circuit, arrivals
 from .power import PowerSlackCurve
@@ -22,7 +21,7 @@ class OracleError(ValueError):
 
 @dataclass(frozen=True)
 class OracleResult:
-    power: Fraction
+    power: int
     levels: tuple[int, ...]
     slacks: tuple[int, ...]
     retiming: Retiming
@@ -49,7 +48,7 @@ def brute_force(c: Circuit, T: int, curves: dict[int, PowerSlackCurve]) -> Oracl
     delays = c.delays
     minpow = [min(curves[j].powers) for j in range(n)]
     # suffix sums of the optimistic per-gate power
-    tail = [Fraction(0)] * (n + 1)
+    tail = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
         tail[j] = tail[j + 1] + minpow[j]
     best: list = [None, None, None]  # power, levels, retiming
@@ -57,7 +56,7 @@ def brute_force(c: Circuit, T: int, curves: dict[int, PowerSlackCurve]) -> Oracl
     levels = [0] * n
     eff = [delays[j] + curves[j].slacks[0] for j in range(n)]
 
-    def dfs(j: int, acc: Fraction) -> None:
+    def dfs(j: int, acc: int) -> None:
         if best[0] is not None and acc + tail[j] >= best[0]:
             return
         # minimum-slack completion of this prefix
@@ -77,7 +76,7 @@ def brute_force(c: Circuit, T: int, curves: dict[int, PowerSlackCurve]) -> Oracl
         levels[j] = 0
         eff[j] = delays[j] + cur.slacks[0]
 
-    dfs(0, Fraction(0))
+    dfs(0, 0)
     if best[0] is None:
         return None
     lv = best[1]

@@ -1,10 +1,11 @@
 """Discrete power-slack curves.
 
-A curve is an ordered list of (slack, power) levels.  Power must be
-nonincreasing and convex in slack: the magnitudes of the segment slopes
-(the breakpoints) are nonincreasing from left to right.  Slacks and powers
-are integers; all derived quantities (breakpoints, penalty-scaled curves)
-are exact rationals.
+A curve is two tuples of integers: strictly increasing slack levels and
+the power at each.  Power must be nonincreasing and convex in slack: the
+magnitudes of the segment slopes (the breakpoints) are nonincreasing from
+left to right.  Breakpoints are exact rationals.  A curve is shared, never
+copied: every gate that uses the same curve-file entry gets the same object,
+and the dual graph divides its slopes by each gate's penalty divisor once.
 """
 from __future__ import annotations
 
@@ -21,37 +22,27 @@ class CurveError(ValueError):
 
 @dataclass(frozen=True)
 class PowerSlackCurve:
-    levels: tuple[tuple[int, Fraction], ...]  # (slack, power), slack strictly increasing
-    gate: int | None = None  # owner gate id, None for shared curves
-
-    @property
-    def slacks(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.levels)
-
-    @property
-    def powers(self) -> tuple[Fraction, ...]:
-        return tuple(p for _, p in self.levels)
+    slacks: tuple[int, ...]  # strictly increasing
+    powers: tuple[int, ...]  # power at each slack level
 
     @property
     def nlevels(self) -> int:
-        return len(self.levels)
+        return len(self.slacks)
 
 
-def make_curve(pairs, gate=None) -> PowerSlackCurve:
+def make_curve(pairs) -> PowerSlackCurve:
     """Curve from (slack, power) pairs of ints (a bool is not an int)."""
-    levels = []
     for s, p in pairs:
         if type(s) is not int or type(p) is not int:
             raise CurveError(f"level [{s!r}, {p!r}]: slack and power must be integers")
-        levels.append((s, Fraction(p)))
-    c = PowerSlackCurve(tuple(levels), gate)
+    c = PowerSlackCurve(tuple(s for s, _ in pairs), tuple(p for _, p in pairs))
     validate_curve(c)
     return c
 
 
 def validate_curve(curve: PowerSlackCurve) -> None:
     """Check monotone slack grid, nonincreasing power, and convexity."""
-    if not curve.levels:
+    if not curve.slacks:
         raise CurveError("empty curve")
     slacks = curve.slacks
     powers = curve.powers
@@ -73,22 +64,13 @@ def breakpoints(curve: PowerSlackCurve) -> list[Fraction]:
     """Slope magnitudes b(2)..b(L); empty for a single-level curve."""
     s = curve.slacks
     p = curve.powers
-    return [(p[q - 1] - p[q]) / (s[q] - s[q - 1]) for q in range(1, len(s))]
+    return [Fraction(p[q - 1] - p[q], s[q] - s[q - 1]) for q in range(1, len(s))]
 
 
 def penalty_divisor(c: Circuit, j: int) -> int:
     """Number of zero-FF fanin edges of gate j, clamped to at least 1."""
     k = sum(1 for e in c.fanin[j] if c.edges[e].w == 0)
     return max(1, k)
-
-
-def scale_powers(curve: PowerSlackCurve, factor: Fraction) -> PowerSlackCurve:
-    return PowerSlackCurve(tuple((s, p * factor) for s, p in curve.levels), curve.gate)
-
-
-def shift_slacks(curve: PowerSlackCurve, delta: int) -> PowerSlackCurve:
-    """Translate the slack axis by delta; powers unchanged."""
-    return PowerSlackCurve(tuple((s + delta, p) for s, p in curve.levels), curve.gate)
 
 
 def load_curves(text: str, c: Circuit) -> dict[int, PowerSlackCurve]:
@@ -115,5 +97,5 @@ def load_curves(text: str, c: Circuit) -> dict[int, PowerSlackCurve]:
         cur = parsed.get(g.name, default)
         if cur is None:
             raise CurveError(f"no curve for gate {g.name} and no default")
-        out[g.id] = PowerSlackCurve(cur.levels, g.id)
+        out[g.id] = cur
     return out

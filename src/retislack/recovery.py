@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .circuit import Circuit, IncrementalTiming, arrivals, sta
 from .mcf import residual_potentials, solve_mcf, ssp_oracle
@@ -32,13 +31,13 @@ class InfeasiblePeriodError(ValueError):
 
 @dataclass(frozen=True)
 class SlackAssignment:
-    levels: tuple[int, ...]       # level index per gate (0-based)
-    slacks: tuple[int, ...]       # chosen slack per gate
-    powers: tuple[Fraction, ...]  # power at the chosen slack
+    levels: tuple[int, ...]  # level index per gate (0-based)
+    slacks: tuple[int, ...]  # chosen slack per gate
+    powers: tuple[int, ...]  # power at the chosen slack
 
     @property
-    def total_power(self) -> Fraction:
-        return sum(self.powers, Fraction(0))
+    def total_power(self) -> int:
+        return sum(self.powers)
 
     @property
     def total_slack(self) -> int:
@@ -54,7 +53,7 @@ class BudgetResult:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
-    def total_power(self) -> Fraction:
+    def total_power(self) -> int:
         return self.assignment.total_power
 
     @property

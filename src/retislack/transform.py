@@ -10,26 +10,29 @@ feasibility search (retime._feas), not from the flow.  Edge classes:
                        curves never rise, so the flattened (Q-transformed)
                        cost the paper puts here is a constant
   E2  i -> j           per circuit edge: arrival propagation, cost = the
-                       sink gate's curve scaled by 1/kappa and shifted by
-                       d_j - T*w
+                       sink gate's curve divided by its penalty divisor
+                       kappa_j and shifted by d_j - T*w
   E4  v0 -> every node: variable bounds via the start node
 
-Expansion turns each E2 edge into parallel arcs, one per usable curve
-level: arc costs are the negated level abscissae and arc capacities the
-slope drops between consecutive breakpoints, scaled by D to integers; a
-level whose slope drop is zero gives no arc.  The result is a pure
+Every fanin edge of gate j carries the same cost up to its shift, so the
+dual graph keeps each gate's slack levels and its slopes divided by kappa_j
+once.  Expansion builds one template per sink gate, one parallel arc per
+usable curve level: the level's slack offset and its capacity, the slope
+drop between consecutive breakpoints scaled by D to an integer; a level
+whose slope drop is zero gives no arc.  Each E2 edge emits its sink's
+template at arc cost -(edge lower bound + offset).  The result is a pure
 circulation instance with all lower bounds zero and no zero-capacity arc.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .circuit import Circuit
-from .power import (PowerSlackCurve, breakpoints, penalty_divisor,
-                    scale_powers, shift_slacks)
+from .power import PowerSlackCurve, breakpoints, penalty_divisor
 
 
 class TransformError(ValueError):
@@ -44,7 +47,6 @@ class DualEdge:
     kind: str  # "E1" | "E2" | "E4"
     lower: int
     upper: int
-    curve: PowerSlackCurve | None  # E2 only: abscissae pre-shifted, powers pre-scaled
     origin: int  # gate id (E1), circuit edge index (E2), node id (E4)
 
 
@@ -54,6 +56,8 @@ class DualGraph:
     period: int
     nff_bar: int  # N_ff * T
     edges: tuple[DualEdge, ...]
+    slacks: tuple[tuple[int, ...], ...]  # per gate: its curve's slack levels
+    slopes: tuple[tuple[Fraction, ...], ...]  # per gate: breakpoints / kappa
 
     @property
     def n_nodes(self) -> int:
@@ -92,20 +96,23 @@ def split_graph(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
         d = c.delays[i]
         cur = curves[i]
         edges.append(DualEdge(c.n, i, "E1",
-                              d + cur.slacks[0], d + cur.slacks[-1], None, i))
+                              d + cur.slacks[0], d + cur.slacks[-1], i))
     for k, e in enumerate(c.edges):
         j = e.dst
         d = c.delays[j]
         cur = curves[j]
-        kappa = penalty_divisor(c, j)
-        pen = shift_slacks(scale_powers(cur, Fraction(1, kappa)), d - T * e.w)
         edges.append(DualEdge(e.src, j, "E2",
                               d + cur.slacks[0] - T * e.w,
-                              d + cur.slacks[-1] - T * e.w, pen, k))
+                              d + cur.slacks[-1] - T * e.w, k))
     v0 = c.n + 1
     for node in range(v0):
-        edges.append(DualEdge(v0, node, "E4", 0, nff_bar, None, node))
-    return DualGraph(c.n, T, nff_bar, tuple(edges))
+        edges.append(DualEdge(v0, node, "E4", 0, nff_bar, node))
+    slopes = []
+    for j in range(c.n):
+        kappa = penalty_divisor(c, j)
+        slopes.append(tuple(b / kappa for b in breakpoints(curves[j])))
+    return DualGraph(c.n, T, nff_bar, tuple(edges),
+                     tuple(curves[j].slacks for j in range(c.n)), tuple(slopes))
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,6 @@ class Arc:
     src: int
     dst: int
     cost: int
-    lower: int
     upper: int
     origin: tuple[int, int] | None  # (dual edge index, segment) or None
 
@@ -127,51 +133,58 @@ class FlowNetwork:
 
     def __post_init__(self):
         for a in self.arcs:
-            if a.lower > a.upper:
-                raise TransformError(f"arc {a}: lower bound exceeds capacity")
+            if a.upper < 0:
+                raise TransformError(f"arc {a}: negative capacity")
 
 
 def _lcm(a: int, b: int) -> int:
     return a * b // math.gcd(a, b)
 
 
+def _template(slacks: tuple[int, ...], bs: tuple[Fraction, ...], scale: int,
+              big: int) -> list[tuple[int, int, int]]:
+    """(slack offset, capacity, segment) of each arc of a costed edge into a
+    gate with these levels and slopes; segment `seg` is level L-1-seg."""
+    L = len(slacks)
+    out = []
+    for seg in range(L):
+        q = L - 1 - seg
+        if seg == L - 1:
+            cap = big - (bs[0] * scale if bs else 0)
+        else:
+            b_next = bs[q] if q < L - 1 else 0  # bs[q - 1] is b(q+1), 1-based
+            cap = (bs[q - 1] - b_next) * scale
+        if cap < 0:
+            raise TransformError("negative capacity (non-convex curve leaked through)")
+        assert cap.denominator == 1, "capacity scale does not clear slopes"
+        if cap:
+            out.append((slacks[q] - slacks[0], int(cap), seg))
+    return out
+
+
 def expand(g: DualGraph) -> FlowNetwork:
     """Expand the dual graph into an integer min-cost circulation network."""
-    all_bs = [breakpoints(e.curve) if e.curve is not None else [] for e in g.edges]
-    if any(b < 0 for bs in all_bs for b in bs):
+    fanins = Counter(e.dst for e in g.edges if e.kind == "E2")
+    if any(b < 0 for j in fanins for b in g.slopes[j]):
         raise TransformError("negative capacity slope on an E2 edge")
     scale = 1
-    for bs in all_bs:
-        for b in bs:
+    total_b = Fraction(0)
+    for j, count in fanins.items():
+        for b in g.slopes[j]:
             scale = _lcm(scale, b.denominator)
-    total_b = sum((b for bs in all_bs for b in bs), Fraction(0))
+        total_b += count * sum(g.slopes[j])
     m_cap = 1 + math.ceil(total_b)
     big = m_cap * scale
+    templates = {j: _template(g.slacks[j], g.slopes[j], scale, big) for j in fanins}
 
     arcs: list[Arc] = []
     for k, e in enumerate(g.edges):
         if e.kind == "E1":
-            arcs.append(Arc(e.src, e.dst, -e.lower, 0, big, (k, 0)))
+            arcs.append(Arc(e.src, e.dst, -e.lower, big, (k, 0)))
         elif e.kind == "E2":
-            cur = e.curve
-            s = cur.slacks
-            L = len(s)
-            bs = all_bs[k]  # b(2)..b(L) as a 0-based list
-            for seg in range(L):
-                # arc `seg` carries cost -s[L-1-seg]
-                q = L - 1 - seg
-                if seg == L - 1:
-                    cap = big - (bs[0] * scale if bs else 0)
-                else:
-                    b_hi = bs[q - 1]  # b(q+1) in 1-based level numbering
-                    b_next = bs[q] if q < L - 1 else Fraction(0)
-                    cap = (b_hi - b_next) * scale
-                if cap < 0:
-                    raise TransformError("negative capacity (non-convex curve leaked through)")
-                assert Fraction(cap).denominator == 1, "capacity scale does not clear slopes"
-                if cap:
-                    arcs.append(Arc(e.src, e.dst, -s[q], 0, int(cap), (k, seg)))
+            for off, cap, seg in templates[e.dst]:
+                arcs.append(Arc(e.src, e.dst, -(e.lower + off), cap, (k, seg)))
         else:  # E4: free forward arc plus a rewritten negative-bound arc
-            arcs.append(Arc(e.dst, e.src, -g.nff_bar, 0, big, (k, 0)))
-            arcs.append(Arc(e.src, e.dst, 0, 0, big, (k, 1)))
+            arcs.append(Arc(e.dst, e.src, -g.nff_bar, big, (k, 0)))
+            arcs.append(Arc(e.src, e.dst, 0, big, (k, 1)))
     return FlowNetwork(g.n_nodes, tuple(arcs), scale, m_cap)

@@ -30,5 +30,5 @@ def curve4():
 
 
 def curves_for(c, pairs=None):
-    pairs = pairs or CURVE4_PAIRS
-    return {g.id: make_curve(pairs, gate=g.id) for g in c.gates}
+    cur = make_curve(pairs or CURVE4_PAIRS)
+    return {g.id: cur for g in c.gates}

@@ -96,7 +96,7 @@ def relaxed_optimum(c, T, curves, variant):
         cur = curves[j]
         if variant == "bounded":
             win_hi = T
-            pairs = cur.levels
+            pairs = list(zip(cur.slacks, cur.powers))
         else:
             win_hi = d + cur.slacks[-1]
             pairs = [(s, min(cur.powers)) for s in cur.slacks]
@@ -122,7 +122,7 @@ def relaxed_optimum(c, T, curves, variant):
         kappa = penalty_divisor(c, j)
         epigraph(ye0 + k, [(2 * n + k, 1)],
                  [(s + d - T * e.w, Fraction(p, kappa))
-                  for s, p in curves[j].levels])
+                  for s, p in zip(curves[j].slacks, curves[j].powers)])
     for e in c.edges:
         s = curves[e.dst].slacks
         d = c.delays[e.dst]

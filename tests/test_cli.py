@@ -103,6 +103,22 @@ def test_budget_fractional_power_is_input_error(tmp_path, capsys):
     assert "error: curve for 'default'" in capsys.readouterr().err
 
 
+def test_budget_prime_curve_ring_checks(tmp_path, capsys):
+    # slopes 1000/p over 20 primes p: the capacity scale is their product,
+    # so cost x capacity is far beyond 64 bits, and the budget still verifies
+    primes = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+              71, 73, 79, 83)
+    ckt = write(tmp_path, "ring.ckt",
+                "".join(f"gate g{i} 3\n" for i in range(20)) +
+                "".join(f"edge g{i} g{(i + 1) % 20} {int(i % 3 == 2)}\n"
+                        for i in range(20)))
+    cur = write(tmp_path, "c.json", json.dumps(
+        {f"g{i}": [[0, 1000], [p, 0]] for i, p in enumerate(primes)}))
+    assert main(["budget", ckt, cur, "--check"]) == 0
+    out = capsys.readouterr().out
+    assert "achieved    12" in out and "total_power 19000" in out
+
+
 def test_budget_json_document(tmp_path, capsys):
     ckt = write(tmp_path, "r.ckt", RING3_TEXT)
     cur = write(tmp_path, "c.json", CURVES_TEXT)

@@ -37,7 +37,7 @@ def verify_optimal(net, sol):
 
 
 def net_of(arc_tuples, n):
-    return FlowNetwork(n, tuple(Arc(s, d, c, 0, u, None)
+    return FlowNetwork(n, tuple(Arc(s, d, c, u, None)
                                 for s, d, c, u in arc_tuples))
 
 
@@ -142,25 +142,19 @@ def test_unreachable_node_gets_sentinel():
 
 def test_verify_rejects_bad_solutions():
     net = net_of([(0, 1, -5, 3), (1, 0, 1, 10)], 2)
-    with pytest.raises(SolverError, match="outside bounds"):
-        verify_circulation(net, FlowSolution((4, 4), 0, 0, 0.0))
+    for flows in ((4, 4), (-1, -1)):
+        with pytest.raises(SolverError, match="outside bounds"):
+            verify_circulation(net, FlowSolution(flows, 0, 0))
     with pytest.raises(SolverError, match="conservation"):
-        verify_circulation(net, FlowSolution((3, 2), 0, 0, 0.0))
+        verify_circulation(net, FlowSolution((3, 2), 0, 0))
     with pytest.raises(SolverError, match="not optimal"):
-        verify_optimal(net, FlowSolution((0, 0), 0, 0, 0.0))
-
-
-def test_overflow_guard():
-    net = net_of([(0, 1, 2**40, 2**30), (1, 0, 2**40, 2**30)], 2)
-    with pytest.raises(SolverError, match="guard"):
-        solve_mcf(net)
+        verify_optimal(net, FlowSolution((0, 0), 0, 0))
 
 
 def test_solver_statistics_present():
     net = net_of([(0, 1, -5, 3), (1, 0, 1, 10)], 2)
     sol = solve_mcf(net)
     assert sol.iterations >= 0
-    assert sol.runtime >= 0.0
 
 
 BIG = 2**40  # beyond the E4 capacity `big` of any benchmark network
@@ -177,6 +171,9 @@ ODD_NETWORKS = {
                           (1, 0, 5, BIG // 3), (2, 1, -1, BIG)], 3),
     "large capacities, bottleneck": ([(0, 1, -1000, BIG), (1, 0, 999, 5),
                                       (1, 2, 0, BIG), (2, 0, 0, 17)], 3),
+    # cost x capacity far beyond 64 bits: Python ints do not overflow
+    "huge cost times capacity": ([(0, 1, -2**40, 2**30), (1, 0, 2**40 - 3, 2**30),
+                                  (1, 2, -2**39, 2**29), (2, 0, 7, 2**30)], 3),
 }
 
 

@@ -28,7 +28,7 @@ def test_brute_force_generous_period(ring3):
 
 
 def test_brute_force_single_level_curves(ring3):
-    curves = {g.id: make_curve([(0, 7)], gate=g.id) for g in ring3.gates}
+    curves = {g.id: make_curve([(0, 7)]) for g in ring3.gates}
     opt = brute_force(ring3, 5, curves)
     assert opt.power == 21
     assert opt.levels == (0, 0, 0)
@@ -36,8 +36,8 @@ def test_brute_force_single_level_curves(ring3):
 
 def test_brute_force_tie_breaks_lexicographically():
     c = parse_circuit("gate a 1\ngate b 1\n")
-    flat = {0: make_curve([(0, 5), (10, 5)], gate=0),
-            1: make_curve([(0, 5), (10, 5)], gate=1)}
+    flat = {0: make_curve([(0, 5), (10, 5)]),
+            1: make_curve([(0, 5), (10, 5)])}
     opt = brute_force(c, 50, flat)
     assert opt.power == 10
     assert opt.levels == (0, 0)  # every vector ties; smallest wins

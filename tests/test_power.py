@@ -1,16 +1,16 @@
-"""Power-slack curves: validation, breakpoints, scaling, loading."""
+"""Power-slack curves: validation, breakpoints, loading."""
 from fractions import Fraction
 
 import pytest
 
 from retislack import (CurveError, breakpoints, load_curves, make_curve,
                        parse_circuit, penalty_divisor)
-from retislack.power import scale_powers, shift_slacks
 from conftest import CURVE4_PAIRS
 
 
 def test_breakpoints_four_level(curve4):
     assert breakpoints(curve4) == [4, 3, Fraction(20, 13)]
+    assert all(type(b) is Fraction for b in breakpoints(curve4))
 
 
 def test_breakpoints_flat_and_single_segment():
@@ -63,24 +63,16 @@ def test_penalty_divisor_mixed():
     assert penalty_divisor(c, 1) == 1
 
 
-def test_scale_and_shift(curve4):
-    half = scale_powers(curve4, Fraction(1, 2))
-    assert half.powers == (50, 30, 15, 5)
-    assert half.slacks == curve4.slacks
-    moved = shift_slacks(curve4, 7)
-    assert moved.slacks == (7, 17, 27, 40)
-    assert moved.powers == curve4.powers
-
-
 def test_load_curves_default_and_override():
-    c = parse_circuit("gate a 1\ngate b 2\nedge a b 0\n")
+    c = parse_circuit("gate a 1\ngate b 2\ngate c 1\nedge a b 0\nedge b c 0\n")
     text = ('{"default": [[0, 100], [10, 60], [20, 30], [33, 10]],'
             ' "b": [[0, 50], [5, 40]]}')
     curves = load_curves(text, c)
-    assert curves[0].levels == tuple(
-        (s, Fraction(p)) for s, p in CURVE4_PAIRS)
-    assert curves[1].slacks == (0, 5)
-    assert curves[1].gate == 1
+    assert curves[0].slacks == tuple(s for s, _ in CURVE4_PAIRS)
+    assert curves[0].powers == tuple(p for _, p in CURVE4_PAIRS)
+    assert all(type(p) is int for p in curves[0].powers)
+    assert (curves[1].slacks, curves[1].powers) == ((0, 5), (50, 40))
+    assert curves[2] is curves[0]  # gates on the default share one curve
 
 
 def test_load_curves_errors():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import (Circuit, Edge, apply_retiming, brute_force,
+from retislack import (Circuit, Edge, apply_retiming, breakpoints, brute_force,
                        generate_random, make_curve, parse_circuit, recovery,
                        run_pipeline, sta)
 from retislack.mcf import residual_potentials, solve_mcf
@@ -96,7 +96,7 @@ def test_recover_duals_rejects_violated_lower_bounds(ring3):
 
 def test_recover_duals_single_level_curve_forced():
     c = parse_circuit("gate g 3\n")
-    curves = {0: make_curve([(2, 9)], gate=0)}
+    curves = {0: make_curve([(2, 9)])}
     g = split_graph(c, 9, curves)
     net = expand(g)
     sol = solve_mcf(net)
@@ -118,8 +118,7 @@ def test_recover_duals_potentials_above_nff_bar():
 
 def test_finalize_keeps_feasible_assignment(ring3):
     curves = curves_for(ring3)
-    asn = SlackAssignment((0, 0, 0), (0, 0, 0),
-                          (Fraction(100),) * 3)
+    asn = SlackAssignment((0, 0, 0), (0, 0, 0), (100,) * 3)
     res = finalize(ring3, 5, curves, asn)
     assert res.diagnostics["repair_steps"] == []
     assert res.diagnostics["snap_power"] == 300
@@ -129,8 +128,7 @@ def test_finalize_keeps_feasible_assignment(ring3):
 
 def test_finalize_repairs_overbudget_assignment(ring3):
     curves = curves_for(ring3)
-    asn = SlackAssignment((3, 3, 3), (33, 33, 33),
-                          (Fraction(10),) * 3)
+    asn = SlackAssignment((3, 3, 3), (33, 33, 33), (10,) * 3)
     res = finalize(ring3, 5, curves, asn)
     assert len(res.diagnostics["repair_steps"]) > 0
     assert res.diagnostics["snap_power"] == 30
@@ -186,7 +184,7 @@ def test_pipeline_sound_on_random_circuits():
             assert res.assignment.slacks[j] in curves[j].slacks
 
 
-def _random_curve(rng, gate):
+def _random_curve(rng):
     """Convex nonincreasing curve of 1-5 levels, some with mandatory slack."""
     slack = rng.choice((0, 0, 0, 1, 4))
     segments = rng.randint(0, 3) if rng.random() < 0.9 else 4
@@ -198,7 +196,7 @@ def _random_curve(rng, gate):
         slack += g
         power -= k * g
         pairs.append((slack, power))
-    return make_curve(pairs, gate=gate)
+    return make_curve(pairs)
 
 
 def _random_odd_circuit(rng, seed):
@@ -222,7 +220,7 @@ def test_pipeline_properties_on_odd_inputs():
     rng = random.Random(11)
     for seed in range(120):
         c = _random_odd_circuit(rng, seed)
-        curves = {j: _random_curve(rng, j) for j in range(c.n)}
+        curves = {j: _random_curve(rng) for j in range(c.n)}
         T = None
         if rng.random() < 0.5:
             T = min_slack_period(c, curves)[0] + rng.randint(0, 15)
@@ -233,6 +231,42 @@ def test_pipeline_properties_on_odd_inputs():
         assert res.diagnostics["mu"][c.n] == 0
         if c.n <= 10 and all(cur.nlevels <= 4 for cur in curves.values()):
             assert res.total_power >= brute_force(c, res.period, curves).power
+
+
+def _coprime_curve(rng):
+    """Convex nonincreasing curve of 1-4 levels whose slack gaps are distinct
+    primes, so its slopes are mostly not integers."""
+    gaps = rng.sample((2, 3, 5, 7, 11, 13), rng.randint(0, 3))
+    segs = sorted(((rng.randint(0, 60), g) for g in gaps),
+                  key=lambda t: Fraction(*t), reverse=True)
+    slack = rng.choice((0, 0, 1, 3))
+    power = sum(drop for drop, _ in segs) + rng.randint(1, 30)
+    pairs = [(slack, power)]
+    for drop, g in segs:
+        slack += g
+        power -= drop
+        pairs.append((slack, power))
+    return make_curve(pairs)
+
+
+def test_pipeline_properties_with_non_integer_slopes():
+    # the flow's capacity scale is the lcm of the slope denominators; every
+    # budget verifies and never drops below the exhaustive optimum
+    rng = random.Random(13)
+    fractional = 0
+    for seed in range(80):
+        c = _random_odd_circuit(rng, 9000 + seed)
+        curves = {j: _coprime_curve(rng) for j in range(c.n)}
+        fractional += any(b.denominator > 1 for cur in curves.values()
+                          for b in breakpoints(cur))
+        T = None
+        if rng.random() < 0.5:
+            T = min_slack_period(c, curves)[0] + rng.randint(0, 15)
+        res = run_pipeline(c, curves, T=T, check=True)
+        assert res.diagnostics["checked"]
+        if c.n <= 10:
+            assert res.total_power >= brute_force(c, res.period, curves).power
+    assert fractional >= 60
 
 
 def test_check_rejects_a_flow_cost_the_oracle_disagrees_with(ring3, monkeypatch):
@@ -253,7 +287,7 @@ def test_check_leaves_the_answer_unchanged():
     for seed in range(20):
         c = generate_random(rng.randint(10, 60), edge_density=2.0,
                             ff_prob=0.4, seed=7000 + seed)
-        curves = {j: _random_curve(rng, j) for j in range(c.n)}
+        curves = {j: _random_curve(rng) for j in range(c.n)}
         T = min_slack_period(c, curves)[0] + rng.randint(0, 5)
         plain = run_pipeline(c, curves, T=T)
         checked = run_pipeline(c, curves, T=T, check=True)
@@ -277,7 +311,7 @@ def test_verify_result_catches_corruption(ring3):
 
 
 def test_min_slack_period_accounts_for_mandatory_slack(ring3):
-    curves = {g.id: make_curve([(2, 50), (4, 20)], gate=g.id)
+    curves = {g.id: make_curve([(2, 50), (4, 20)])
               for g in ring3.gates}
     t, _ = min_slack_period(ring3, curves)
     # every gate is 2 units slower than its raw delay
