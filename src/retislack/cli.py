@@ -127,6 +127,11 @@ _BENCH_FIELDS = ["name", "gates", "edges", "Tmin", "power_flow", "power_oracle",
                  "slack_flow", "slack_oracle", "runtime_ms"]
 
 
+def _gap(got, best) -> Fraction:
+    """Relative excess of `got` over `best`; 0 where `best` is 0."""
+    return Fraction(got - best, best) if best else Fraction(0)
+
+
 def cmd_bench(args) -> int:
     cases = []
     if args.dir:
@@ -181,12 +186,10 @@ def cmd_bench(args) -> int:
         diff = {k: "" for k in _BENCH_FIELDS}
         diff["name"] = "Diff"
         if compared:
-            pgap = sum(Fraction(r["power_flow"] - r["power_oracle"], r["power_oracle"])
+            pgap = sum(_gap(r["power_flow"], r["power_oracle"])
                        for r in compared) / len(compared)
-            sgap = sum(
-                Fraction(r["slack_flow"] - r["slack_oracle"],
-                         r["slack_oracle"]) if r["slack_oracle"] else Fraction(0)
-                for r in compared) / len(compared)
+            sgap = sum(_gap(r["slack_flow"], r["slack_oracle"])
+                       for r in compared) / len(compared)
             diff["power_flow"] = f"{float(pgap) * 100.0:+.1f}%"
             diff["slack_flow"] = f"{float(sgap) * 100.0:+.1f}%"
         w.writerow(avg)

@@ -1,12 +1,12 @@
 """Exact integer min-cost circulation solvers.
 
-solve_mcf is a cost-scaling push/relabel solver (epsilon halving on the
-admissible network).  Costs are internally multiplied by (nodes + 1), so the
-1-optimal flow it ends with is exactly optimal.  ssp_oracle is an
-independent primal-dual successive-shortest-path solver used for
-cross-checking: its node potentials keep every residual reduced cost >= 0,
-so each phase is one Dijkstra search, and a negative reduced cost raises
-SolverError.
+solve_mcf is a cost-scaling push/relabel solver (epsilon divided by 8 per
+phase, with global price updates).  Costs are internally multiplied by
+(nodes + 1), so the 1-optimal flow it ends with is exactly optimal.
+ssp_oracle is an independent primal-dual successive-shortest-path solver
+used for cross-checking: its node potentials keep every residual reduced
+cost >= 0, so each phase is one Dijkstra search, and a negative reduced
+cost raises SolverError.
 """
 from __future__ import annotations
 
@@ -58,16 +58,63 @@ def _solution_cost(net: FlowNetwork, flows) -> int:
 
 
 def solve_mcf(net: FlowNetwork) -> FlowSolution:
-    """Optimal integral circulation by cost scaling."""
+    """Optimal integral circulation by cost scaling; `iterations` counts
+    relabels."""
     n = net.n_nodes
     mult = n + 1
     r = _Residual(net, cost_mult=mult)
     head, cost, res, adj = r.head, r.cost, r.res, r.adj
     p = [0] * n
     excess = [0] * n
+    cur = [0] * n
     iterations = 0
+    update_every = max(1, n // 2)  # relabels between global price updates
 
     eps = 2 * max((abs(c) for c in cost), default=0)
+
+    def price_update(eps: int) -> None:
+        # Global price update (Goldberg 1997): d(v) is the distance from v to
+        # a deficit over residual arcs of length l(u,v) = c_p(u,v) // eps + 1,
+        # never negative under eps-optimality, found by Dijkstra over reversed
+        # arcs until every excess node is scanned; K is the last distance.
+        # p -= eps * d' with d' = min(d, K) keeps eps-optimality, since
+        # c_p'(u,v) = c_p(u,v) + eps * (d'(v) - d'(u)) >= -eps whenever
+        # d'(u) <= d'(v) + l(u,v), which holds for each residual u->v:
+        # both scanned, d is exact; u scanned, d'(u) <= K = d'(v); both
+        # unscanned, K <= K + l; v scanned, u not: scanning v set u's key to
+        # at most d(v) + l, and an unscanned key is >= K.
+        dist = [None] * n
+        heap = []
+        left = 0
+        for v in range(n):
+            if excess[v] < 0:
+                dist[v] = 0
+                heap.append((0, v))
+            elif excess[v] > 0:
+                left += 1
+        K = 0
+        while left:
+            if not heap:
+                raise SolverError("excess node with no residual path to a deficit")
+            K, v = heappop(heap)
+            if K > dist[v]:
+                continue  # stale entry
+            if excess[v] > 0:
+                left -= 1
+            pv = p[v]
+            for a in adj[v]:
+                b = a ^ 1  # residual arc u -> v
+                if res[b] > 0:
+                    u = head[a]
+                    nd = K + (cost[b] + p[u] - pv) // eps + 1
+                    du = dist[u]
+                    if du is None or nd < du:
+                        dist[u] = nd
+                        heappush(heap, (nd, u))
+        for v in range(n):
+            dv = dist[v]
+            p[v] -= eps * (K if dv is None or dv > K else dv)
+            cur[v] = 0  # arcs may have turned admissible
 
     def refine(eps: int) -> None:
         nonlocal iterations
@@ -82,18 +129,23 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
                     res[a ^ 1] += d
                     excess[u] -= d
                     excess[v] += d
+        price_update(eps)
         active = deque(u for u in range(n) if excess[u] > 0)
-        cur = [0] * n
+        next_update = iterations + update_every
         while active:
+            if iterations >= next_update:
+                price_update(eps)
+                next_update = iterations + update_every
             u = active.popleft()
             e = excess[u]
             if e <= 0:
                 continue
             au = adj[u]
+            na = len(au)
             i = cur[u]
             pu = p[u]
             while e > 0:
-                if i == len(au):
+                if i == na:
                     # relabel: jump to the highest potential that makes some
                     # residual arc admissible (always a drop of >= eps)
                     best = None
@@ -129,11 +181,9 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
             cur[u] = i
             p[u] = pu
 
-    while eps > 0:
-        eps = max(1, eps // 2)
+    while eps > 1:
+        eps = max(1, eps // 8)
         refine(eps)
-        if eps == 1:
-            break
     flows = r.flows(net)
     return FlowSolution(flows, _solution_cost(net, flows), iterations)
 

@@ -176,3 +176,15 @@ def test_bench_directory_and_csv_file(tmp_path, capsys):
                  "--csv", str(csv_path)]) == 0
     lines = csv_path.read_text().strip().splitlines()
     assert lines[1].startswith("ring3,3,3,5,300,300,")
+
+
+def test_bench_zero_optimum_power(tmp_path, capsys):
+    # a zero-power curve makes the brute-force optimum 0: the Diff footer
+    # must not divide by it
+    write(tmp_path, "ring3.ckt", RING3_TEXT)
+    levels = write(tmp_path, "zero.json", '{"default": [[0, 0]]}')
+    assert main(["bench", "--dir", str(tmp_path), "--levels", levels]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1].startswith("ring3,3,3,") and ",0,0," in lines[1]
+    assert lines[-1].startswith("Diff,")
+    assert len(lines) == 1 + 1 + 2  # header, one case, Avg + Diff footers

@@ -183,7 +183,20 @@ def test_oracle_matches_on_odd_networks(name):
     a = solve_mcf(net)
     b = ssp_oracle(net)
     assert b.cost == a.cost
+    verify_optimal(net, a)
     verify_optimal(net, b)
+
+
+@pytest.mark.parametrize("cost_range", [3, 50, 10**6])
+@pytest.mark.parametrize("cap_range", [1, 9, 10**5])
+def test_solver_flow_optimal_on_random_networks(cost_range, cap_range):
+    # narrow cost ranges give many ties between reduced costs, wide ones many
+    # scaling phases; price updates must keep the final flow optimal in both
+    rng = random.Random(cost_range * 7 + cap_range)
+    for _ in range(24):
+        n = rng.randint(2, 30)
+        net = random_net(n, rng.randint(1, 3 * n), rng, cost_range, cap_range)
+        verify_optimal(net, solve_mcf(net))
 
 
 def test_oracle_on_nonnegative_costs_pushes_nothing():
@@ -234,7 +247,13 @@ def test_oracle_matches_on_mixed_curve_pipeline_networks():
                  if line.startswith("gate ")]
         curves = load_curves(json.dumps({g: _mixed_curve(rng) for g in names}), c)
         tmin, _ = min_slack_period(c, curves)
-        net = expand(split_graph(c, (13 * tmin + 9) // 10, curves))  # ceil(1.3 Tmin)
+        g = split_graph(c, (13 * tmin + 9) // 10, curves)  # ceil(1.3 Tmin)
+        net = expand(g)
+        a = solve_mcf(net)
         b = ssp_oracle(net)
-        assert b.cost == solve_mcf(net).cost
+        assert b.cost == a.cost
         verify_optimal(net, b)
+        # shortest residual distances do not depend on which optimal flow
+        # was found, so the recovered budget does not depend on the solver
+        assert (residual_potentials(net, a, g.v0, g.nff_bar)
+                == residual_potentials(net, b, g.v0, g.nff_bar))
