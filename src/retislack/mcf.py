@@ -1,12 +1,15 @@
 """Exact integer min-cost circulation solvers.
 
 solve_mcf is a cost-scaling push/relabel solver (epsilon divided by 8 per
-phase, with global price updates).  Costs are internally multiplied by
-(nodes + 1), so the 1-optimal flow it ends with is exactly optimal.
-ssp_oracle is an independent primal-dual successive-shortest-path solver
-used for cross-checking: its node potentials keep every residual reduced
-cost >= 0, so each phase is one Dijkstra search, and a negative reduced
-cost raises SolverError.
+phase, with global price updates).  It bundles the parallel arcs of each
+(src, dst) pair into one convex piecewise-linear arc, kept as one residual
+pair: the cheapest segment with room forward, the costliest with flow
+backward.  Costs are internally multiplied by (nodes + 1), so the
+1-optimal flow it ends with is exactly optimal.  ssp_oracle is an
+independent primal-dual successive-shortest-path solver used for
+cross-checking; it sees every arc unbundled.  Its node potentials keep
+every residual reduced cost >= 0, so each phase is one Dijkstra search,
+and a negative reduced cost raises SolverError.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ class FlowSolution:
 class _Residual:
     """Paired-arc residual representation; arc 2k is input arc k."""
 
-    def __init__(self, net: FlowNetwork, cost_mult: int = 1):
+    def __init__(self, net: FlowNetwork):
         m = len(net.arcs)
         self.n = net.n_nodes
         self.head = [0] * (2 * m)
@@ -42,8 +45,8 @@ class _Residual:
             f, b = 2 * k, 2 * k + 1
             self.head[f] = a.dst
             self.head[b] = a.src
-            self.cost[f] = a.cost * cost_mult
-            self.cost[b] = -a.cost * cost_mult
+            self.cost[f] = a.cost
+            self.cost[b] = -a.cost
             self.res[f] = a.upper
             self.res[b] = 0
             self.adj[a.src].append(f)
@@ -57,20 +60,99 @@ def _solution_cost(net: FlowNetwork, flows) -> int:
     return sum(a.cost * x for a, x in zip(net.arcs, flows))
 
 
+class _Bundles:
+    """Convex arc bundles: the input arcs with upper > 0 that share (src, dst)
+    form one group, its segments sorted by (cost, input index) and stored
+    flat; group g owns residual entries 2g (forward) and 2g+1 (backward),
+    each on segment seg[a] and stepping towards stop[a].  Every group starts
+    empty: both entries on its cheapest segment."""
+
+    def __init__(self, net: FlowNetwork, cost_mult: int):
+        arcs = net.arcs
+        groups: dict[tuple[int, int], list[int]] = {}
+        for k, a in enumerate(arcs):
+            if a.upper > 0:
+                groups.setdefault((a.src, a.dst), []).append(k)
+        self.seg_arc, self.seg_cap, self.seg_cost = [], [], []
+        self.head, self.cost, self.res, self.seg, self.stop = [], [], [], [], []
+        self.adj = [[] for _ in range(net.n_nodes)]
+        for (src, dst), ks in groups.items():
+            ks.sort(key=lambda k: arcs[k].cost)  # stable: ties keep input order
+            s = len(self.seg_arc)
+            for k in ks:
+                self.seg_arc.append(k)
+                self.seg_cap.append(arcs[k].upper)
+                self.seg_cost.append(arcs[k].cost * cost_mult)
+            self.adj[src].append(len(self.head))
+            self.adj[dst].append(len(self.head) + 1)
+            self.head += (dst, src)
+            self.cost += (self.seg_cost[s], -self.seg_cost[s])
+            self.res += (self.seg_cap[s], 0)
+            self.seg += (s, s)
+            self.stop += (len(self.seg_arc), s - 1)
+
+    def flows(self, net: FlowNetwork) -> tuple[int, ...]:
+        """Per input arc: segments below a backward entry's are full, its own
+        carries res, the rest (and every zero-capacity arc) carry nothing."""
+        flows = [0] * len(net.arcs)
+        for b in range(1, len(self.head), 2):
+            s = self.seg[b]
+            flows[self.seg_arc[s]] = self.res[b]
+            for t in range(self.stop[b] + 1, s):
+                flows[self.seg_arc[t]] = self.seg_cap[t]
+        return tuple(flows)
+
+
 def solve_mcf(net: FlowNetwork) -> FlowSolution:
     """Optimal integral circulation by cost scaling; `iterations` counts
     relabels."""
     n = net.n_nodes
     mult = n + 1
-    r = _Residual(net, cost_mult=mult)
-    head, cost, res, adj = r.head, r.cost, r.res, r.adj
+    r = _Bundles(net, cost_mult=mult)
+    head, cost, res, adj, seg, stop = r.head, r.cost, r.res, r.adj, r.seg, r.stop
+    seg_cap, seg_cost = r.seg_cap, r.seg_cost
     p = [0] * n
     excess = [0] * n
     cur = [0] * n
     iterations = 0
     update_every = max(1, n // 2)  # relabels between global price updates
 
-    eps = 2 * max((abs(c) for c in cost), default=0)
+    eps = 2 * mult * max((abs(a.cost) for a in net.arcs), default=0)
+
+    # Bundles (Ahuja, Hochbaum & Orlin 2003): the parallel arcs of a group
+    # are one convex piecewise-linear arc, kept in canonical fill: with
+    # segments sorted by cost, every segment below the forward entry's
+    # segment seg[2g] is full and every one above the backward entry's
+    # seg[2g+1] is empty; the two entries sit on one partly filled segment
+    # (its flow res[2g+1], its room res[2g]) or on the two sides of a
+    # full/empty boundary.  The forward entry is the cheapest segment with
+    # room and the backward entry the costliest with flow, so the two
+    # entries carry the least reduced cost of each direction over the
+    # group's residual arcs: the group is eps-optimal exactly when its two
+    # entries are, relabels and price updates that read only the entries see
+    # the same maximum and the same shortest lengths as over the expanded
+    # arcs, and a push on an entry is a push on an admissible arc of the
+    # expanded network.  A push moves the opposite entry onto the pushed
+    # segment, which now has reduced cost > 0 that way, and advances the
+    # pushed entry to the next segment once its own is used up; that segment
+    # was residual already and costs at least as much, so a push creates no
+    # new admissible arc and the current-arc pointers stay valid.
+    def push(a: int, d: int) -> None:
+        b = a ^ 1
+        s = seg[a]
+        res[a] -= d
+        if seg[b] == s:
+            res[b] += d
+        else:  # the opposite entry steps over the boundary onto segment s
+            seg[b] = s
+            cost[b] = -cost[a]
+            res[b] = d
+        if not res[a]:
+            s += 1 if a & 1 == 0 else -1
+            if s != stop[a]:
+                seg[a] = s
+                res[a] = seg_cap[s]
+                cost[a] = -seg_cost[s] if a & 1 else seg_cost[s]
 
     def price_update(eps: int) -> None:
         # Global price update (Goldberg 1997): d(v) is the distance from v to
@@ -118,15 +200,15 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
 
     def refine(eps: int) -> None:
         nonlocal iterations
-        # saturate every residual arc with negative reduced cost
+        # saturate every residual arc with negative reduced cost; an entry
+        # refreshed onto its group's next segment may still be negative
         for u in range(n):
             pu = p[u]
             for a in adj[u]:
-                if res[a] > 0 and cost[a] + pu - p[head[a]] < 0:
-                    v = head[a]
+                v = head[a]
+                while res[a] > 0 and cost[a] + pu - p[v] < 0:
                     d = res[a]
-                    res[a] = 0
-                    res[a ^ 1] += d
+                    push(a, d)
                     excess[u] -= d
                     excess[v] += d
         price_update(eps)
@@ -169,8 +251,7 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
                     # self-loops are handled by the saturation pass
                     if v != u and cost[a] + pu - p[v] < 0:
                         d = res[a] if res[a] < e else e
-                        res[a] -= d
-                        res[a ^ 1] += d
+                        push(a, d)
                         e -= d
                         if excess[v] <= 0 < excess[v] + d:
                             active.append(v)
@@ -317,7 +398,6 @@ def _drain(r: _Residual, pi: list, excess: list) -> int:
 def _spfa(n, head, cost, res, adj, sources):
     """Label-correcting shortest paths over residual arcs from a source set."""
     dist = [None] * n
-    parent = [None] * n
     inq = [False] * n
     relax = [0] * n
     q = deque()
@@ -336,14 +416,13 @@ def _spfa(n, head, cost, res, adj, sources):
             nd = du + cost[a]
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
-                parent[v] = a
                 if not inq[v]:
                     relax[v] += 1
                     if relax[v] > n + 1:
                         raise SolverError("negative cycle in residual network")
                     inq[v] = True
                     q.append(v)
-    return dist, parent
+    return dist
 
 
 def residual_potentials(net: FlowNetwork, sol: FlowSolution, source: int,
@@ -357,7 +436,7 @@ def residual_potentials(net: FlowNetwork, sol: FlowSolution, source: int,
     for k, x in enumerate(sol.flows):
         r.res[2 * k] = net.arcs[k].upper - x
         r.res[2 * k + 1] = x
-    dist, _ = _spfa(net.n_nodes, r.head, r.cost, r.res, r.adj, [source])
+    dist = _spfa(net.n_nodes, r.head, r.cost, r.res, r.adj, [source])
     finite = [d for d in dist if d is not None]
     if sentinel is None:
         sentinel = max(finite) if finite else 0

@@ -9,9 +9,10 @@ import time
 from fractions import Fraction
 
 from retislack import (breakpoints, brute_force, generate_random, make_curve,
-                       oracle_min_period, parse_circuit, render_circuit,
-                       run_pipeline, solve_mcf, ssp_oracle)
+                       parse_circuit, render_circuit, run_pipeline, solve_mcf,
+                       ssp_oracle)
 from retislack.cli import main
+from retislack.exact import oracle_min_period
 from retislack.retime import min_period
 from retislack.transform import DualEdge, DualGraph, expand
 
@@ -192,13 +193,13 @@ def test_criterion_8_scale(tmp_path):
     dt = time.perf_counter() - t0
     # pinned answer (recovered values capped at the period, one conclusive
     # feasibility probe per repair retry, one dual node per gate; relabels of
-    # the solver with eps / 8 per phase and global price updates); any change
-    # to it must be explained
+    # the solver with eps / 8 per phase, global price updates and one residual
+    # pair per group of parallel arcs); any change to it must be explained
     doc = json.loads(out_path.read_text()) if code == 0 else {}
     got = (doc.get("period"), doc.get("achieved_period"), doc.get("total_power"),
            doc.get("diagnostics"))
     want = (21, 21, "62760", {"tmin": 21, "repair_steps": 255,
-                              "solver_iterations": 26400,
+                              "solver_iterations": 21864,
                               "flow_cost": -114487077773237,
                               "snap_power": "52760"})
     _report(8, "scale", code == 0 and dt < 10.0 and got == want,

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from retislack import (CircuitError, apply_retiming, feasible_retiming,
-                       generate_random, parse_circuit, render_circuit, sta)
+from retislack import (CircuitError, feasible_retiming, generate_random,
+                       parse_circuit, render_circuit, sta)
 from retislack.circuit import IncrementalTiming
-from retislack.retime import retimed_weights
+from retislack.retime import apply_retiming, retimed_weights
 from conftest import RING3_TEXT
 
 

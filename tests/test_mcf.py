@@ -257,3 +257,56 @@ def test_oracle_matches_on_mixed_curve_pipeline_networks():
         # was found, so the recovered budget does not depend on the solver
         assert (residual_potentials(net, a, g.v0, g.nff_bar)
                 == residual_potentials(net, b, g.v0, g.nff_bar))
+
+
+def bundled_net(rng, cost_range):
+    """A network dense in parallel arcs: distinct (src, dst) pairs, each with
+    1 to 7 arcs scattered through the arc list; some pairs are self-loops and
+    some have their antiparallel pair too; narrow cost ranges give equal-cost
+    ties, and about one arc in five has zero capacity."""
+    n = rng.randint(2, 8)
+    pairs = set()
+    for _ in range(rng.randint(1, 2 * n)):
+        s = rng.randrange(n)
+        d = s if rng.random() < 0.2 else rng.randrange(n)
+        pairs.add((s, d))
+        if rng.random() < 0.4:
+            pairs.add((d, s))
+    arcs = []
+    for s, d in sorted(pairs):
+        for _ in range(rng.randint(1, 7)):
+            cap = 0 if rng.random() < 0.2 else rng.randint(1, 9)
+            arcs.append((s, d, rng.randint(-cost_range, cost_range // 2), cap))
+    rng.shuffle(arcs)
+    return net_of(arcs, n)
+
+
+@pytest.mark.parametrize("cost_range", [4, 1000])
+def test_bundled_parallel_arcs_match_oracle(cost_range):
+    # solve_mcf keeps each group of parallel arcs as one convex arc; the
+    # oracle still sees every arc, so it checks the bundling independently
+    rng = random.Random(4711 + cost_range)
+    seen = set()
+    for _ in range(300):
+        net = bundled_net(rng, cost_range)
+        a = solve_mcf(net)
+        b = ssp_oracle(net)
+        verify_optimal(net, a)
+        assert a.cost == b.cost
+        assert residual_potentials(net, a, 0) == residual_potentials(net, b, 0)
+        groups = {}
+        for arc in net.arcs:
+            groups.setdefault((arc.src, arc.dst), []).append(arc)
+        for (s, d), g in groups.items():
+            seen.add(("size", len(g)))
+            costs = [arc.cost for arc in g]
+            if len(set(costs)) < len(costs):
+                seen.add("tie")
+            if any(arc.upper == 0 for arc in g):
+                seen.add("zero capacity")
+            if s == d and len(g) > 1 and min(costs) < 0:
+                seen.add("negative parallel self-loop")
+            if s != d and (d, s) in groups:
+                seen.add("antiparallel")
+    assert seen >= {("size", k) for k in range(1, 8)} | {
+        "tie", "zero capacity", "negative parallel self-loop", "antiparallel"}

@@ -1,9 +1,8 @@
 """Exhaustive reference solvers."""
 import pytest
 
-from retislack import (brute_force, generate_random, make_curve,
-                       oracle_min_period, parse_circuit)
-from retislack.exact import OracleError
+from retislack import brute_force, generate_random, make_curve, parse_circuit
+from retislack.exact import OracleError, oracle_min_period
 from retislack.retime import min_period
 from conftest import curves_for
 

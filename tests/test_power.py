@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from retislack import (CurveError, breakpoints, load_curves, make_curve,
-                       parse_circuit, penalty_divisor)
+                       parse_circuit)
+from retislack.power import penalty_divisor
 from conftest import CURVE4_PAIRS
 
 

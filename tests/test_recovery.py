@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import (Circuit, Edge, apply_retiming, breakpoints, brute_force,
+from retislack import (Circuit, Edge, breakpoints, brute_force,
                        generate_random, make_curve, parse_circuit, recovery,
                        run_pipeline, sta)
 from retislack.mcf import residual_potentials, solve_mcf
@@ -13,6 +13,7 @@ from retislack.recovery import (BudgetResult, InfeasiblePeriodError,
                                 RecoveryError, SlackAssignment, finalize,
                                 min_slack_period, recover_duals,
                                 recover_slacks, snap_levels, verify_result)
+from retislack.retime import apply_retiming
 from retislack.transform import expand, split_graph
 from conftest import CURVE3_PAIRS, curves_for
 from test_retime import _union

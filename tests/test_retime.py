@@ -5,10 +5,10 @@ import random
 import pytest
 
 from retislack import (Circuit, Edge, Gate, Retiming, RetimingError,
-                       apply_retiming, feasible_retiming, generate_random,
-                       oracle_min_period, parse_circuit, sta)
+                       feasible_retiming, generate_random, parse_circuit, sta)
 from retislack.circuit import arrivals
-from retislack.retime import _feas, min_period, retimed_weights
+from retislack.exact import oracle_min_period
+from retislack.retime import _feas, apply_retiming, min_period, retimed_weights
 from conftest import RING3_TEXT
 
 

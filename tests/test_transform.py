@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from retislack import (breakpoints, expand, generate_random, make_curve,
-                       parse_circuit, penalty_divisor, split_graph)
+                       parse_circuit, split_graph)
+from retislack.power import penalty_divisor
 from retislack.transform import (Arc, DualEdge, DualGraph, FlowNetwork,
                                  TransformError)
 from conftest import curves_for
