@@ -5,20 +5,26 @@ potentials across the slack-carrying edges give edge slack values; the
 per-gate slack is the minimum of its own window value and the propagation
 values arriving over fanin edges, capped at the period.  Slacks are snapped
 down onto the discrete level grid.  The retiming does not come from the
-flow: a feasibility search (retime._feas) retimes the snapped budget, and
-decrementing levels of critical gates when the period is missed is a
-counted fallback.
+flow: `finalize` bisects on a uniform scaling of the snapped budget down
+towards every gate's smallest level, with one feasibility search
+(retime.feasible_retiming) per probe, and then raises levels under the
+winning retiming while static timing shows slack for them.
 """
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
-from .circuit import Circuit, IncrementalTiming, arrivals, sta
+from .circuit import Circuit, IncrementalTiming, sta
 from .mcf import residual_potentials, solve_mcf, ssp_oracle
-from .power import PowerSlackCurve
-from .retime import Retiming, _feas, min_period, retimed_weights
+from .power import PowerSlackCurve, breakpoints
+from .retime import Retiming, feasible_retiming, min_period, retimed_weights
 from .transform import DualGraph, expand, split_graph
+
+
+K = 1024  # bisection resolution of finalize: k / K of each gate's budget
 
 
 class RecoveryError(RuntimeError):
@@ -106,76 +112,82 @@ def recover_slacks(g: DualGraph, c: Circuit, s_vals: dict) -> list[int]:
     return out
 
 
+def _at_levels(cs, levels) -> SlackAssignment:
+    return SlackAssignment(tuple(levels),
+                           tuple(cur.slacks[q] for cur, q in zip(cs, levels)),
+                           tuple(cur.powers[q] for cur, q in zip(cs, levels)))
+
+
 def snap_levels(sbar, curves: dict[int, PowerSlackCurve], delays) -> SlackAssignment:
     """Project delay-plus-slack values down onto each gate's level grid."""
-    levels = []
-    slacks = []
-    powers = []
-    for j, v in enumerate(sbar):
-        cur = curves[j]
-        budget = v - delays[j]
-        q = 0
-        for i, s in enumerate(cur.slacks):
-            if s <= budget:
-                q = i
-        levels.append(q)
-        slacks.append(cur.slacks[q])
-        powers.append(cur.powers[q])
-    return SlackAssignment(tuple(levels), tuple(slacks), tuple(powers))
+    cs = [curves[j] for j in range(len(sbar))]
+    return _at_levels(cs, [max(bisect_right(cur.slacks, v - d) - 1, 0)
+                           for cur, v, d in zip(cs, sbar, delays)])
 
 
 def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
              assignment: SlackAssignment) -> BudgetResult:
-    """Make the assignment legal at period T, repairing it if needed.
+    """Make the assignment legal at period T, then spend the slack left over.
 
-    Each retry runs one conclusive feasibility probe.  If no retiming meets
-    the period, slack levels are decremented under the probe's last
-    retiming attempt, worst negative slack first (ties: larger power change
-    from the decrement, then gate id), and the probe is rerun.  Terminates
-    because the all-minimum assignment is feasible whenever T is at least
-    the minimum period; a failed probe at all-minimum levels raises
-    InfeasiblePeriodError.
+    Bisection: at integer k in [0, K], gate j gets s0 + k (s - s0) // K, its
+    assigned slack s scaled towards its smallest level s0, snapped down.
+    Feasibility is monotone in k, since lower delays keep every retiming
+    feasible.  k = K goes first, so a feasible assignment is kept; at most
+    12 probes find the largest feasible k, and a failure at k = 0 means T
+    is below the minimum period.  Fill (the discrete zero-slack algorithm
+    of Nair, Berman, Hauge & Yoffa, IEEE TCAD 1989): under that retiming,
+    gates rise one level at a time while their slack covers the step,
+    largest power drop per slack unit first (ties: gate id).
     """
-    levels = list(assignment.levels)
-    repairs = []
-    # -(power change) of decrementing gate j from level q, at [j][q]
-    neg_dpow = [[None] + [p[q] - p[q - 1] for q in range(1, len(p))]
-                for p in (curves[j].powers for j in range(c.n))]
-    budget = 1  # decrements allowed between feasibility retries; doubles
-    while True:
-        slacks = [curves[j].slacks[q] for j, q in enumerate(levels)]
-        eff = [c.delays[j] + slacks[j] for j in range(c.n)]
-        ok, r = _feas(c, T, eff)
-        if not ok and not any(levels):
-            raise InfeasiblePeriodError(
-                f"period {T} infeasible even at minimum slack")
-        weights = retimed_weights(c, r)
-        if ok:
-            ach = max(arrivals(c, eff, weights))
-            powers = tuple(curves[j].powers[q] for j, q in enumerate(levels))
-            final = SlackAssignment(tuple(levels), tuple(slacks), powers)
-            return BudgetResult(final, r, T, ach,
-                                {"repair_steps": repairs,
-                                 "snap_power": assignment.total_power})
-        # drain violations under this (fixed) retiming attempt; the budget
-        # doubles each retry so feasibility searches stay logarithmic in
-        # the number of repairs while early repairs remain one at a time
-        timing = IncrementalTiming(c, T, eff, weights)
-        rep = timing.slack
-        for _ in range(budget):
-            if min(rep) >= 0:
-                break
-            cand = min(((rep[j], neg_dpow[j][q], j)
-                        for j, q in enumerate(levels) if q), default=None)
-            if cand is None:
-                # this particular retiming cannot meet T even at minimum
-                # levels; a fresh feasibility search may still find one
-                break
-            j = cand[2]
-            levels[j] -= 1
-            timing.set_delay(j, c.delays[j] + curves[j].slacks[levels[j]])
-            repairs.append(j)
-        budget *= 2
+    cs = [curves[j] for j in range(c.n)]
+    seen = {}  # level vector -> (levels, eff, retiming or None)
+
+    def probe(k):
+        levels = tuple(
+            bisect_right(cur.slacks, cur.slacks[0] + k * (s - cur.slacks[0]) // K) - 1
+            for cur, s in zip(cs, assignment.slacks))
+        if levels not in seen:  # neighbouring k often snap alike
+            eff = [d + cur.slacks[q] for d, cur, q in zip(c.delays, cs, levels)]
+            seen[levels] = list(levels), eff, feasible_retiming(c, T, eff)
+        return seen[levels]
+
+    # every k >= hi is infeasible; lo is the largest feasible k probed
+    lo, hi, k, best = -1, K + 1, K, None
+    while hi - lo > 1:
+        got = probe(k)
+        if got[2] is None:
+            hi = k
+        else:
+            lo, best = k, got
+        k = (lo + hi) // 2
+    if best is None:
+        raise InfeasiblePeriodError(
+            f"period {T} infeasible even at minimum slack")
+    levels, eff, r = best
+    # a step within gate j's slack keeps every arrival within its required
+    # time; raises only lower slacks, so a gate that fails once is dropped
+    timing = IncrementalTiming(c, T, eff, retimed_weights(c, r))
+    neg_bps = {cur: [-b for b in breakpoints(cur)] for cur in set(cs)}
+    heap = [(neg_bps[cur][q], j) for j, (cur, q) in enumerate(zip(cs, levels))
+            if q + 1 < cur.nlevels]
+    heapify(heap)
+    start = sum(levels)
+    while heap:
+        _, j = heappop(heap)
+        cur, q = cs[j], levels[j]
+        if timing.slack[j] < cur.slacks[q + 1] - cur.slacks[q]:
+            continue
+        levels[j] = q + 1
+        timing.set_delay(j, c.delays[j] + cur.slacks[q + 1])
+        if q + 2 < cur.nlevels:
+            heappush(heap, (neg_bps[cur][q + 1], j))
+    # one gate id per level the gate ends below its snapped level
+    drained = [j for j, (q0, q) in enumerate(zip(assignment.levels, levels))
+               for _ in range(q0 - q)]
+    return BudgetResult(_at_levels(cs, levels), r, T, max(timing.arrival),
+                        {"repair_steps": drained,
+                         "snap_power": assignment.total_power,
+                         "fill_steps": sum(levels) - start, "probes": len(seen)})
 
 
 def min_slack_period(c: Circuit, curves: dict[int, PowerSlackCurve]):

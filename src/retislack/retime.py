@@ -8,15 +8,17 @@ gate absorbs one FF), a label-correcting scheme on the underlying
 difference-constraint system.  An infeasible period is usually proved long
 before the |V| + 1 round bound: each increment records the start of the
 critical path that forced it, and a cycle among those records certifies
-infeasibility (early termination after Shenoy & Rudell).  The minimum period
-is found by binary search between the largest delay and the unretimed
-period.
+infeasibility (early termination after Shenoy & Rudell).  That test,
+`feasible_retiming`, is the one feasibility kernel: the minimum-period
+search, `recovery.finalize` and `exact.brute_force` all call it.  The
+minimum period is found by binary search between the largest delay and the
+unretimed period.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Edge, _forward, arrivals
+from .circuit import Circuit, _forward, arrivals
 
 
 class RetimingError(ValueError):
@@ -40,13 +42,6 @@ def retimed_weights(c: Circuit, r: Retiming) -> list[int]:
     return out
 
 
-def apply_retiming(c: Circuit, r: Retiming) -> Circuit:
-    """New circuit with updated FF counts; gates and delays unchanged."""
-    weights = retimed_weights(c, r)
-    edges = tuple(Edge(e.src, e.dst, w) for e, w in zip(c.edges, weights))
-    return Circuit(c.gates, edges)
-
-
 def _parent_cycle(parent: list[int], starts) -> bool:
     """True when the parent pointers reached from `starts` close a cycle."""
     walk = {}  # gate -> the start whose walk visited it
@@ -60,16 +55,19 @@ def _parent_cycle(parent: list[int], starts) -> bool:
     return False
 
 
-def _feas(c: Circuit, T: int, eff) -> tuple[bool, Retiming]:
-    """Iterated-relabeling feasibility test.
+def feasible_retiming(c: Circuit, T: int, eff=None) -> Retiming | None:
+    """A legal retiming meeting period T under effective delays, or None.
 
-    Returns (ok, retiming).  Each round, every gate whose arrival exceeds T
-    absorbs one FF.  The answer is conclusive: infeasible as soon as the
-    parent pointers from each incremented gate to the start of its critical
-    path close a cycle, and at the latest after |V| + 1 rounds.  On failure
-    the returned retiming is the last attempt (always legal), which callers
-    use to locate critical gates.
+    Iterated relabeling from the zero retiming: each round, every gate whose
+    arrival exceeds T absorbs one FF.  The answer is conclusive: infeasible
+    as soon as the parent pointers from each incremented gate to the start
+    of its critical path close a cycle, and at the latest after |V| + 1
+    rounds.  The witness is normalized to a smallest label of 0.
     """
+    if eff is None:
+        eff = c.delays
+    if max(eff) > T:
+        return None
     n = c.n
     edges, fanin, fanout = c.edges, c.fanin, c.fanout
     r = [0] * n
@@ -80,7 +78,7 @@ def _feas(c: Circuit, T: int, eff) -> tuple[bool, Retiming]:
         bad = [i for i in range(n) if a[i] > T]
         if not bad:
             base = min(r)
-            return True, Retiming(tuple(x - base for x in r))
+            return Retiming(tuple(x - base for x in r))
         # Bad gate v ends a zero-FF path P from src[v] = u longer than T,
         # so every solution has r_v >= r_u + 1 - W(P).  This round's
         # increment makes that bound tight, and it only loosens as r_u rises
@@ -92,7 +90,7 @@ def _feas(c: Circuit, T: int, eff) -> tuple[bool, Retiming]:
         for i in bad:
             parent[i] = src[i]
         if _parent_cycle(parent, bad):
-            break
+            return None
         # w_ij + r_j - r_i moves only on edges with one end in the bad set
         inside = [False] * n
         for i in bad:
@@ -105,18 +103,7 @@ def _feas(c: Circuit, T: int, eff) -> tuple[bool, Retiming]:
             for k in fanout[i]:
                 if not inside[edges[k].dst]:
                     weights[k] -= 1
-    base = min(r)
-    return False, Retiming(tuple(x - base for x in r))
-
-
-def feasible_retiming(c: Circuit, T: int, eff=None) -> Retiming | None:
-    """A legal retiming meeting period T under effective delays, or None."""
-    if eff is None:
-        eff = c.delays
-    if max(eff) > T:
-        return None
-    ok, r = _feas(c, T, eff)
-    return r if ok else None
+    return None
 
 
 def min_period(c: Circuit, eff=None) -> tuple[int, Retiming]:
@@ -128,8 +115,8 @@ def min_period(c: Circuit, eff=None) -> tuple[int, Retiming]:
     best = (hi, Retiming((0,) * c.n))
     while lo < hi:
         mid = (lo + hi) // 2
-        ok, r = _feas(c, mid, eff)
-        if ok:
+        r = feasible_retiming(c, mid, eff)
+        if r is not None:
             best = (mid, r)
             hi = mid
         else:

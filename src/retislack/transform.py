@@ -2,8 +2,8 @@
 
 Every gate i becomes one node i carrying its scaled arrival variable; one
 reference node n is the common tail of the slack windows.  There are no
-retiming-label nodes or label-legality edges: the retiming comes from the
-feasibility search (retime._feas), not from the flow.  Edge classes:
+retiming-label nodes or label-legality edges: the retiming comes from
+retime.feasible_retiming, not from the flow.  Edge classes:
 
   E1  n -> i           per gate: the gate's slack window, one uncapacitated
                        arc at its lower bound d_i + first slack; accepted

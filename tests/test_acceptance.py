@@ -191,14 +191,14 @@ def test_criterion_8_scale(tmp_path):
     t0 = time.perf_counter()
     code = main(["budget", str(ckt), str(curves_path), "--json", str(out_path)])
     dt = time.perf_counter() - t0
-    # pinned answer (recovered values capped at the period, one conclusive
-    # feasibility probe per repair retry, one dual node per gate; relabels of
-    # the solver with eps / 8 per phase, global price updates and one residual
+    # pinned answer (recovered values capped at the period, one dual node per
+    # gate; bisection of the snapped budget, then the fill; relabels of the
+    # solver with eps / 8 per phase, global price updates and one residual
     # pair per group of parallel arcs); any change to it must be explained
     doc = json.loads(out_path.read_text()) if code == 0 else {}
     got = (doc.get("period"), doc.get("achieved_period"), doc.get("total_power"),
            doc.get("diagnostics"))
-    want = (21, 21, "62760", {"tmin": 21, "repair_steps": 255,
+    want = (21, 21, "54410", {"tmin": 21, "repair_steps": 151,
                               "solver_iterations": 21864,
                               "flow_cost": -114487077773237,
                               "snap_power": "52760"})

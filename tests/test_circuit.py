@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from retislack import (CircuitError, feasible_retiming, generate_random,
-                       parse_circuit, render_circuit, sta)
+from retislack import (Circuit, CircuitError, Edge, feasible_retiming,
+                       generate_random, parse_circuit, render_circuit, sta)
 from retislack.circuit import IncrementalTiming
-from retislack.retime import apply_retiming, retimed_weights
+from retislack.retime import retimed_weights
 from conftest import RING3_TEXT
 
 
@@ -123,17 +123,20 @@ def test_sta_weights_match_retimed_circuit():
             continue
         eff = [d + rng.randint(0, 5) for d in c.delays]
         weights = retimed_weights(c, r)
-        assert sta(c, T, eff, weights) == sta(apply_retiming(c, r), T, eff)
+        moved_circuit = Circuit(c.gates, tuple(
+            Edge(e.src, e.dst, w) for e, w in zip(c.edges, weights)))
+        assert sta(c, T, eff, weights) == sta(moved_circuit, T, eff)
         moved += weights != [e.w for e in c.edges]
     assert moved > 40
 
 
 def test_incremental_timing_matches_sta_after_each_decrement():
-    # random drains of single-level decrements, as the repair loop makes them,
-    # under original and retimed weights, with and without zero-delay gates
+    # random single-level decrements and raises (finalize's fill raises
+    # levels), under original and retimed weights, with and without
+    # zero-delay gates
     rng = random.Random(29)
     grid = (0, 3, 7, 12)
-    steps = 0
+    steps = raises = 0
     for seed in range(100):
         c = generate_random(rng.randint(1, 40), edge_density=rng.uniform(0.5, 2.5),
                             ff_prob=rng.uniform(0.2, 0.7),
@@ -144,20 +147,22 @@ def test_incremental_timing_matches_sta_after_each_decrement():
         levels = [rng.randrange(len(grid)) for _ in range(c.n)]
         eff = [d + grid[q] for d, q in zip(c.delays, levels)]
         timing = IncrementalTiming(c, T, eff, weights)
-        while True:
+        for step in range(3 * c.n + 1):
             rep = sta(c, T, eff, weights)
             assert timing.arrival == list(rep.arrival)
             assert timing.required == list(rep.required)
             assert timing.slack == list(rep.slack)
-            lowered = [j for j, q in enumerate(levels) if q]
-            if not lowered:
+            if step == 3 * c.n:
                 break
-            j = rng.choice(lowered)
-            levels[j] -= 1
+            j = rng.randrange(c.n)
+            up = levels[j] == 0 or (levels[j] + 1 < len(grid)
+                                    and rng.random() < 0.5)
+            levels[j] += 1 if up else -1
+            raises += up
             eff[j] = c.delays[j] + grid[levels[j]]
             timing.set_delay(j, eff[j])
             steps += 1
-    assert steps > 1000
+    assert steps > 1000 and 300 < raises < steps - 300
 
 
 def test_negative_effective_delay_rejected(ring3):

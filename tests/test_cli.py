@@ -138,8 +138,10 @@ def test_budget_json_document(tmp_path, capsys):
     assert isinstance(diag["repair_steps"], int) and diag["repair_steps"] >= 0
     assert isinstance(diag["solver_iterations"], int)
     assert isinstance(diag["flow_cost"], int)
-    # power strings as in the rest of the document; repair only adds power
-    assert Fraction(diag["snap_power"]) <= Fraction(doc["total_power"])
+    # power strings as in the rest of the document; the fill never leaves
+    # the answer above the all-minimum power (3 gates at 100)
+    assert Fraction(diag["snap_power"]) <= 300
+    assert Fraction(doc["total_power"]) <= 300
 
 
 def test_bench_generated_deterministic(tmp_path, capsys):

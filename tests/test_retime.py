@@ -8,21 +8,20 @@ from retislack import (Circuit, Edge, Gate, Retiming, RetimingError,
                        feasible_retiming, generate_random, parse_circuit, sta)
 from retislack.circuit import arrivals
 from retislack.exact import oracle_min_period
-from retislack.retime import _feas, apply_retiming, min_period, retimed_weights
+from retislack.retime import min_period, retimed_weights
 from conftest import RING3_TEXT
 
 
 def test_zero_retiming_is_identity(ring3):
     r = Retiming((0, 0, 0))
-    assert apply_retiming(ring3, r) == ring3
+    assert retimed_weights(ring3, r) == [e.w for e in ring3.edges]
 
 
 def test_retiming_moves_ff_between_ring_edges(ring3):
     # pull the FF of (c->a) onto (b->c)
-    r = Retiming((0, 0, 1))
-    moved = apply_retiming(ring3, r)
-    assert [e.w for e in moved.edges] == [0, 2, 0]
-    assert moved.total_ffs == ring3.total_ffs
+    weights = retimed_weights(ring3, Retiming((0, 0, 1)))
+    assert weights == [0, 2, 0]
+    assert sum(weights) == ring3.total_ffs
 
 
 def test_illegal_retiming_rejected(ring3):
@@ -35,8 +34,7 @@ def test_cycle_ff_count_invariant():
     for seed in range(10):
         c = generate_random(8, edge_density=1.8, ff_prob=0.6, seed=seed)
         T = sum(c.delays)
-        r = feasible_retiming(c, T)
-        moved = apply_retiming(c, r)
+        weights = retimed_weights(c, feasible_retiming(c, T))
         # check every simple cycle found by DFS over edge sequences
         def cycles(limit=6):
             out = []
@@ -55,7 +53,7 @@ def test_cycle_ff_count_invariant():
             return out
         for cyc in cycles():
             before = sum(c.edges[k].w for k in cyc)
-            after = sum(moved.edges[k].w for k in cyc)
+            after = sum(weights[k] for k in cyc)
             assert before == after
 
 
@@ -64,8 +62,7 @@ def test_feasible_retiming_ring3():
                       "edge a b 0\nedge b c 1\nedge c a 1\n")
     r = feasible_retiming(c, 5)
     assert r is not None
-    moved = apply_retiming(c, r)
-    assert max(sta(moved, 5).arrival) <= 5
+    assert max(sta(c, 5, weights=retimed_weights(c, r)).arrival) <= 5
     assert feasible_retiming(c, 4) is None
 
 
@@ -121,15 +118,16 @@ def test_feasible_retiming_matches_exhaustive_enumeration():
             got = feasible_retiming(c, T)
             assert (got is not None) == _exhaustively_feasible(c, T)
             if got is not None:
-                assert max(sta(apply_retiming(c, got), T).arrival) <= T
+                weights = retimed_weights(c, got)
+                assert max(sta(c, T, weights=weights).arrival) <= T
 
 
 def test_min_period_matches_oracle_on_odd_inputs():
     for c in _odd_circuits():
         t, r = min_period(c)
         assert t == oracle_min_period(c)
-        assert min(r.labels) == 0  # normalized, like every _feas witness
-        assert max(sta(apply_retiming(c, r), t).arrival) <= t
+        assert min(r.labels) == 0  # normalized, like every witness
+        assert max(sta(c, t, weights=retimed_weights(c, r)).arrival) <= t
 
 
 def _relabel_rounds(c, T, eff, rounds):
@@ -150,8 +148,7 @@ def _relabel_rounds(c, T, eff, rounds):
 
 def test_feas_matches_round_by_round_relabeling():
     # the probe gives the same answer as plain rounds and, when feasible, the
-    # same witness; a failed probe still returns a legal retiming, since
-    # finalize drains violations under it
+    # same witness
     rng = random.Random(7)
     for seed in range(150):
         c = generate_random(rng.randint(1, 40), edge_density=rng.uniform(0.5, 3.0),
@@ -160,18 +157,17 @@ def test_feas_matches_round_by_round_relabeling():
                             seed=seed)
         eff = [d + rng.choice((0, 0, 2, 7)) for d in c.delays]
         T = rng.randint(max(eff), max(arrivals(c, eff)))
-        ok, r = _feas(c, T, eff)
+        r = feasible_retiming(c, T, eff)
         ref_ok, ref = _relabel_rounds(c, T, eff, c.n + 1)
-        assert ok == ref_ok
-        if ok:
+        assert (r is not None) == ref_ok
+        if ref_ok:
             assert r.labels == ref
-        retimed_weights(c, r)  # raises if illegal
 
 
 def test_min_period_ring3(ring3):
     t, r = min_period(ring3)
     assert t == 5
-    assert max(sta(apply_retiming(ring3, r), 5).arrival) <= 5
+    assert max(sta(ring3, 5, weights=retimed_weights(ring3, r)).arrival) <= 5
     assert feasible_retiming(ring3, 4) is None
 
 
@@ -188,7 +184,7 @@ def test_min_period_ring11_fixture():
     assert len(c.edges) == 19
     t, r = min_period(c)
     assert t == 20
-    assert max(sta(apply_retiming(c, r), 20).arrival) <= 20
+    assert max(sta(c, 20, weights=retimed_weights(c, r)).arrival) <= 20
 
 
 def test_min_period_monotone():
