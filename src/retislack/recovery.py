@@ -118,11 +118,16 @@ def _at_levels(cs, levels) -> SlackAssignment:
                            tuple(cur.powers[q] for cur, q in zip(cs, levels)))
 
 
+def _snap(cur: PowerSlackCurve, slack: int) -> int:
+    """Highest level whose slack is at most `slack`; level 0 if there is none."""
+    return max(bisect_right(cur.slacks, slack) - 1, 0)
+
+
 def snap_levels(sbar, curves: dict[int, PowerSlackCurve], delays) -> SlackAssignment:
     """Project delay-plus-slack values down onto each gate's level grid."""
     cs = [curves[j] for j in range(len(sbar))]
-    return _at_levels(cs, [max(bisect_right(cur.slacks, v - d) - 1, 0)
-                           for cur, v, d in zip(cs, sbar, delays)])
+    levels = [_snap(cur, v - d) for cur, v, d in zip(cs, sbar, delays)]
+    return _at_levels(cs, levels)
 
 
 def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
@@ -140,30 +145,25 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
     largest power drop per slack unit first (ties: gate id).
     """
     cs = [curves[j] for j in range(c.n)]
-    seen = {}  # level vector -> (levels, eff, retiming or None)
-
-    def probe(k):
-        levels = tuple(
-            bisect_right(cur.slacks, cur.slacks[0] + k * (s - cur.slacks[0]) // K) - 1
-            for cur, s in zip(cs, assignment.slacks))
-        if levels not in seen:  # neighbouring k often snap alike
-            eff = [d + cur.slacks[q] for d, cur, q in zip(c.delays, cs, levels)]
-            seen[levels] = list(levels), eff, feasible_retiming(c, T, eff)
-        return seen[levels]
-
-    # every k >= hi is infeasible; lo is the largest feasible k probed
-    lo, hi, k, best = -1, K + 1, K, None
+    # every k >= hi is infeasible; lo is the largest feasible k probed.
+    # seen maps each probed level vector to (eff, retiming or None):
+    # neighbouring k often snap alike, and a repeat costs no search
+    seen, lo, hi, k, best = {}, -1, K + 1, K, None
     while hi - lo > 1:
-        got = probe(k)
-        if got[2] is None:
+        levels = tuple(_snap(cur, cur.slacks[0] + k * (s - cur.slacks[0]) // K)
+                       for cur, s in zip(cs, assignment.slacks))
+        if levels not in seen:
+            eff = [d + cur.slacks[q] for d, cur, q in zip(c.delays, cs, levels)]
+            seen[levels] = eff, feasible_retiming(c, T, eff)
+        if seen[levels][1] is None:
             hi = k
         else:
-            lo, best = k, got
+            lo, best = k, levels
         k = (lo + hi) // 2
     if best is None:
         raise InfeasiblePeriodError(
             f"period {T} infeasible even at minimum slack")
-    levels, eff, r = best
+    (eff, r), levels = seen[best], list(best)
     # a step within gate j's slack keeps every arrival within its required
     # time; raises only lower slacks, so a gate that fails once is dropped
     timing = IncrementalTiming(c, T, eff, retimed_weights(c, r))

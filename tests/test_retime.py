@@ -148,7 +148,7 @@ def _relabel_rounds(c, T, eff, rounds):
 
 def test_feas_matches_round_by_round_relabeling():
     # the probe gives the same answer as plain rounds and, when feasible, the
-    # same witness
+    # same witness, which is a legal retiming
     rng = random.Random(7)
     for seed in range(150):
         c = generate_random(rng.randint(1, 40), edge_density=rng.uniform(0.5, 3.0),
@@ -162,6 +162,7 @@ def test_feas_matches_round_by_round_relabeling():
         assert (r is not None) == ref_ok
         if ref_ok:
             assert r.labels == ref
+            retimed_weights(c, r)  # raises if illegal
 
 
 def test_min_period_ring3(ring3):
