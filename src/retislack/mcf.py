@@ -426,20 +426,16 @@ def _spfa(n, head, cost, res, adj, sources):
 
 
 def residual_potentials(net: FlowNetwork, sol: FlowSolution, source: int,
-                        sentinel: int | None = None) -> tuple[int, ...]:
+                        sentinel: int) -> tuple[int, ...]:
     """Shortest residual distances from `source` given an optimal flow.
 
-    Unreachable nodes get the sentinel distance (the loosest feasible
-    value); by default the largest finite distance found.
+    Unreachable nodes get the sentinel distance (the loosest feasible value).
     """
     r = _Residual(net)
     for k, x in enumerate(sol.flows):
         r.res[2 * k] = net.arcs[k].upper - x
         r.res[2 * k + 1] = x
     dist = _spfa(net.n_nodes, r.head, r.cost, r.res, r.adj, [source])
-    finite = [d for d in dist if d is not None]
-    if sentinel is None:
-        sentinel = max(finite) if finite else 0
     return tuple(d if d is not None else sentinel for d in dist)
 
 

@@ -68,30 +68,36 @@ class BudgetResult:
 
 
 def recover_duals(g: DualGraph, dist: tuple[int, ...]):
-    """Potentials and edge slack values satisfying the dual constraint set.
+    """Potentials and slack values satisfying the dual constraint set.
 
-    The potentials are the negated shortest-path distances, shifted so the
-    smallest is 0; every E1/E2 edge's potential difference must cover its
-    lower slack bound.  Returns (mu, s) where s maps dual edge index ->
-    slack value for every E1/E2 edge.
+    The potentials mu are the negated shortest-path distances, shifted so
+    the smallest is 0; the potential difference across every gate window
+    (E1, reference node -> gate) and every circuit edge (E2) must cover its
+    lower bound.  Returns (mu, (s1, s2)): s1[i] is gate i's window value and
+    s2[k] circuit edge k's value, each the gap capped at the upper bound.
     """
     top = max(dist)
     mu = tuple(top - d for d in dist)
-    s = {}
-    for k, e in enumerate(g.edges):
-        if e.kind == "E4":
-            continue
-        gap = mu[e.dst] - mu[e.src]
-        if gap < e.lower:
+
+    def capped(what: str, k: int, src: int, dst: int, shift: int) -> int:
+        # the window of gate dst, moved down by shift
+        gap = mu[dst] - mu[src]
+        if gap < g.lower[dst] - shift:
             raise RecoveryError(
-                f"recovered duals infeasible: {e.kind} edge {k} gap {gap} "
-                f"below its lower bound {e.lower}; distances={dist}")
-        s[k] = min(e.upper, gap)
-    return mu, s
+                f"recovered duals infeasible: {what} {k} gap {gap} below its "
+                f"lower bound {g.lower[dst] - shift}; distances={dist}")
+        return min(g.upper[dst] - shift, gap)
+
+    ref, T = g.n_gates, g.period
+    s1 = [capped("E1 edge of gate", i, ref, i, 0) for i in range(ref)]
+    s2 = [capped("E2 edge", k, e.src, e.dst, T * e.w)
+          for k, e in enumerate(g.circuit.edges)]
+    return mu, (s1, s2)
 
 
-def recover_slacks(g: DualGraph, c: Circuit, s_vals: dict) -> list[int]:
-    """Per-gate delay-plus-slack values from the recovered edge slacks.
+def recover_slacks(g: DualGraph, c: Circuit, s_vals) -> list[int]:
+    """Per-gate delay-plus-slack values from the recovered slack values
+    (s1, s2) of recover_duals.
 
     Each gate takes the minimum of its own window value and, over zero-or-
     more fanin edges, the propagated value plus T per FF; capped at the
@@ -99,16 +105,15 @@ def recover_slacks(g: DualGraph, c: Circuit, s_vals: dict) -> list[int]:
     the smallest level (at most T) so snapping always succeeds.
     """
     T = g.period
+    s1, s2 = s_vals
     out = []
     for j in range(c.n):
-        e1 = g.edges[g.e1_index[j]]
-        val = s_vals[g.e1_index[j]]
+        val = s1[j]
         for k in c.fanin[j]:
-            t = s_vals[g.e2_index[k]]
-            cand = t + T * c.edges[k].w
+            cand = s2[k] + T * c.edges[k].w
             if cand < val:
                 val = cand
-        out.append(max(min(val, T), e1.lower))
+        out.append(max(min(val, T), g.lower[j]))
     return out
 
 

@@ -2,6 +2,7 @@
 import pytest
 
 from retislack import make_curve, parse_circuit
+from retislack.transform import DualGraph
 
 # three-gate ring: one combinational edge, two FF edges
 RING3_TEXT = """\
@@ -32,3 +33,14 @@ def curve4():
 def curves_for(c, pairs=None):
     cur = make_curve(pairs or CURVE4_PAIRS)
     return {g.id: cur for g in c.gates}
+
+
+def one_edge_graph(slacks, slopes, shift=0):
+    """Dual graph of a lone gate whose self-loop (one FF, period 10) is the
+    one costed edge: the given levels and slopes, its window
+    [slacks[0], slacks[-1]] moved by shift (> -10)."""
+    T = 10
+    lo = shift + T + slacks[0]  # gate delay shift + T plus the first slack
+    c = parse_circuit(f"gate g {shift + T}\nedge g g 1\n")
+    return DualGraph(c, T, T, (lo,), (lo + slacks[-1] - slacks[0],),
+                     (tuple(slacks),), (tuple(slopes),))

@@ -14,9 +14,10 @@ from retislack import (breakpoints, brute_force, generate_random, make_curve,
 from retislack.cli import main
 from retislack.exact import oracle_min_period
 from retislack.retime import min_period
-from retislack.transform import DualEdge, DualGraph, expand
+from retislack.transform import expand
 
-from conftest import CURVE3_PAIRS, CURVE4_PAIRS, RING3_TEXT, curves_for
+from conftest import (CURVE3_PAIRS, CURVE4_PAIRS, RING3_TEXT, curves_for,
+                      one_edge_graph)
 from test_mcf import random_net
 from lp_oracle import relaxed_optimum
 
@@ -122,13 +123,11 @@ def _expanded_cost_matches_direct_minimum(curve, kappa, shift):
     the curve divided by kappa with its slack axis moved by shift."""
     s = [x + shift for x in curve.slacks]
     p = [Fraction(x, kappa) for x in curve.powers]
-    g = DualGraph(1, 1, 1, (DualEdge(0, 0, "E2", s[0], s[-1], 0),),
-                  (curve.slacks,),
-                  (tuple(b / kappa for b in breakpoints(curve)),))
+    g = one_edge_graph(curve.slacks,
+                       tuple(b / kappa for b in breakpoints(curve)), shift)
     net = expand(g)
     D = net.scale
-    arcs = sorted((a for a in net.arcs if a.origin[0] == 0),
-                  key=lambda a: a.origin[1])
+    arcs = [a for a in net.arcs if (a.src, a.dst) == (0, 0)]  # the self-loop
     saturation = sum(a.upper for a in arcs[:-1])
     for X in range(saturation + 5):
         rem = X

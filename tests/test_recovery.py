@@ -26,26 +26,23 @@ def test_recover_slacks_takes_min_over_fanins_and_window():
     T = 10
     g = split_graph(c, T, curves)
     j = c.gate_id("j")
-    s_vals = {g.e1_index[i]: 7 for i in range(c.n)}
-    s_vals[g.e2_index[0]] = 5    # the w=0 fanin
-    s_vals[g.e2_index[1]] = -4   # the w=1 fanin contributes -4 + T = 6
-    out = recover_slacks(g, c, s_vals)
+    s1 = [7] * c.n               # per gate: its window value
+    s2 = [5, -4]                 # per circuit edge: the w=0 fanin, and the
+    out = recover_slacks(g, c, (s1, s2))  # w=1 one contributing -4 + T = 6
     assert out[j] == 5
     # gates without fanins keep their own window value
     assert out[c.gate_id("x")] == 7
     # values above the period come back as the period
-    s_vals[g.e1_index[j]] = 12
-    s_vals[g.e2_index[0]] = 11
-    s_vals[g.e2_index[1]] = 3    # 3 + T = 13
-    assert recover_slacks(g, c, s_vals)[j] == T
+    s1[j] = 12
+    s2[:] = [11, 3]              # 3 + T = 13
+    assert recover_slacks(g, c, (s1, s2))[j] == T
 
 
 def test_recover_slacks_floors_at_window_lower():
     c = parse_circuit("gate x 1\ngate j 2\nedge x j 0\n")
     curves = curves_for(c)
     g = split_graph(c, 40, curves)
-    s_vals = {g.e1_index[0]: 1, g.e1_index[1]: 2, g.e2_index[0]: -100}
-    out = recover_slacks(g, c, s_vals)
+    out = recover_slacks(g, c, ([1, 2], [-100]))
     assert out[c.gate_id("j")] == 2  # delay + smallest slack
 
 
@@ -76,13 +73,17 @@ def test_recover_duals_feasible_on_ring(ring3):
     net = expand(g)
     sol = solve_mcf(net)
     dist = residual_potentials(net, sol, g.v0, sentinel=g.nff_bar)
-    mu, s_vals = recover_duals(g, dist)
+    mu, (s1, s2) = recover_duals(g, dist)
     assert all(0 <= x <= g.nff_bar for x in mu)
-    for k, e in enumerate(g.edges):
+    assert len(s1) == ring3.n and len(s2) == len(ring3.edges)
+    for i in range(ring3.n):  # E1: reference node -> gate
+        gap = mu[i] - mu[g.n_gates]
+        assert gap >= g.lower[i]
+        assert s1[i] == min(g.upper[i], gap)
+    for k, e in enumerate(ring3.edges):  # E2: the sink's window minus T*w
         gap = mu[e.dst] - mu[e.src]
-        if e.kind in ("E1", "E2"):
-            assert gap >= e.lower
-            assert s_vals[k] == min(e.upper, gap)
+        assert gap >= g.lower[e.dst] - 5 * e.w
+        assert s2[k] == min(g.upper[e.dst] - 5 * e.w, gap)
 
 
 def test_recover_duals_rejects_violated_lower_bounds(ring3):
@@ -102,8 +103,8 @@ def test_recover_duals_single_level_curve_forced():
     net = expand(g)
     sol = solve_mcf(net)
     dist = residual_potentials(net, sol, g.v0, sentinel=g.nff_bar)
-    _, s_vals = recover_duals(g, dist)
-    assert s_vals[g.e1_index[0]] == 5  # delay 3 + the only slack level 2
+    _, (s1, s2) = recover_duals(g, dist)
+    assert s1 == [5] and s2 == []  # delay 3 + the only slack level 2
 
 
 def test_recover_duals_potentials_above_nff_bar():

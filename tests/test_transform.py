@@ -1,5 +1,7 @@
 """Dual-graph construction and expansion into a circulation network."""
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,49 +9,60 @@ import pytest
 from retislack import (breakpoints, expand, generate_random, make_curve,
                        parse_circuit, split_graph)
 from retislack.power import penalty_divisor
-from retislack.transform import (Arc, DualEdge, DualGraph, FlowNetwork,
-                                 TransformError)
-from conftest import curves_for
+from retislack.transform import Arc, FlowNetwork, TransformError
+from conftest import curves_for, one_edge_graph
 
 
-def one_edge_graph(slacks, slopes, shift=0):
-    """Dual graph of a lone gate whose self-loop E2 edge carries one curve."""
-    edge = DualEdge(0, 0, "E2", shift + slacks[0], shift + slacks[-1], 0)
-    return DualGraph(1, 5, 5, (edge,), (tuple(slacks),), (tuple(slopes),))
+def _big(g, net):
+    """Capacity of the uncapacitated arcs: D times one more than the sum of
+    every costed edge's slopes, more than any E2 edge can carry."""
+    total = sum(sum(g.slopes[e.dst]) for e in g.circuit.edges)
+    return (1 + math.ceil(total)) * net.scale
+
+
+def _e2_blocks(g, net):
+    """Each circuit edge's E2 arcs, cut by position: they follow the n E1
+    arcs in edge order, every edge into gate j emits the same number, and
+    the 2 (n + 1) E4 arcs come last."""
+    c = g.circuit
+    mid = net.arcs[c.n:len(net.arcs) - 2 * g.v0]
+    arcs_per_pair = Counter((a.src, a.dst) for a in mid)
+    edges_per_pair = Counter((e.src, e.dst) for e in c.edges)
+    blocks, pos = [], 0
+    for e in c.edges:
+        m = arcs_per_pair[e.src, e.dst] // edges_per_pair[e.src, e.dst]
+        blocks.append(mid[pos:pos + m])
+        assert all((a.src, a.dst) == (e.src, e.dst) for a in blocks[-1])
+        pos += m
+    assert pos == len(mid)
+    return blocks
 
 
 def test_split_ring3_structure(ring3):
     g = split_graph(ring3, 5, curves_for(ring3))
+    assert g.circuit is ring3 and g.period == 5
+    assert g.n_gates == 3
     assert g.n_nodes == 5  # one node per gate, the reference node, v0
     assert g.v0 == 4
-    kinds = [e.kind for e in g.edges]
-    assert kinds.count("E1") == 3
-    assert kinds.count("E2") == 3
-    assert "E3" not in kinds
-    assert kinds.count("E4") == 4
-    assert all(e.src == 3 for e in g.edges if e.kind == "E1")
     assert g.nff_bar == 2 * 5  # two FFs total, period 5
 
 
 def test_split_ring3_bounds(ring3):
     g = split_graph(ring3, 5, curves_for(ring3))
-    e1 = [e for e in g.edges if e.kind == "E1"]
     # window = delay + [first slack, last slack]
-    assert [(e.lower, e.upper) for e in e1] == [(2, 35), (3, 36), (4, 37)]
-    e2 = [e for e in g.edges if e.kind == "E2"]
+    assert list(zip(g.lower, g.upper)) == [(2, 35), (3, 36), (4, 37)]
     # sink gate window shifted down by T per FF on the circuit edge
-    assert [(e.lower, e.upper) for e in e2] == [(3, 36), (-1, 32), (-3, 30)]
-    e4 = [e for e in g.edges if e.kind == "E4"]
-    assert all(e.lower == 0 and e.upper == 10 and e.src == g.v0 for e in e4)
+    assert [(g.lower[e.dst] - 5 * e.w, g.upper[e.dst] - 5 * e.w)
+            for e in ring3.edges] == [(3, 36), (-1, 32), (-3, 30)]
 
 
 def test_split_self_loop_bounds():
     c = parse_circuit("gate g 6\nedge g g 1\n")
     curves = curves_for(c)
     g = split_graph(c, 10, curves)
-    e2 = next(e for e in g.edges if e.kind == "E2")
-    assert (e2.src, e2.dst) == (0, 0)
-    assert e2.lower == 6 + 0 - 10
+    e = c.edges[0]
+    assert (e.src, e.dst) == (0, 0)
+    assert g.lower[e.dst] - 10 * e.w == 6 + 0 - 10
 
 
 def test_split_keeps_each_gates_levels_and_slopes_over_kappa():
@@ -78,10 +91,12 @@ def test_expand_four_level_edge_arcs():
     # a single costed edge carrying the four-level curve: one arc per level,
     # costs are the negated slacks, caps the scaled slope drops
     cur = make_curve([(0, 100), (10, 60), (20, 30), (33, 10)])
-    net = expand(one_edge_graph(cur.slacks, breakpoints(cur)))
+    g = one_edge_graph(cur.slacks, breakpoints(cur))
+    net = expand(g)
     assert net.scale == 13  # clears the 20/13 slope
-    finite = [(a.cost, a.upper) for a in net.arcs]
-    big = net.m_cap * net.scale
+    finite = [(a.cost, a.upper) for a in net.arcs if (a.src, a.dst) == (0, 0)]
+    big = _big(g, net)
+    assert big == 10 * 13  # 1 + ceil(4 + 3 + 20/13)
     assert finite == [
         (-33, 20),          # b(4) * 13
         (-20, 19),          # (b(3) - b(4)) * 13
@@ -91,21 +106,22 @@ def test_expand_four_level_edge_arcs():
 
 
 def _e2_caps_rebuild_breakpoints(g, net):
-    """Rebuild each E2 edge's slopes from its arcs' (edge, segment) origins."""
+    """Rebuild each circuit edge's sink slopes from its E2 arcs."""
     D = net.scale
-    for k, e in enumerate(g.edges):
-        if e.kind != "E2":
-            continue
+    for e, arcs in zip(g.circuit.edges, _e2_blocks(g, net)):
         s = g.slacks[e.dst]
         L = len(s)
-        by_seg = {a.origin[1]: a for a in net.arcs if a.origin[0] == k}
-        assert set(by_seg) <= set(range(L)) and L - 1 in by_seg
-        # arc `seg` sits at level L-1-seg, shifted like the edge's window
-        for seg, a in by_seg.items():
-            assert a.cost == -(e.lower + s[L - 1 - seg] - s[0])
-        # a segment without an arc has capacity 0; suffix sums of the finite
-        # caps rebuild the scaled slopes b(L)..b(2)
-        caps = [by_seg[seg].upper if seg in by_seg else 0 for seg in range(L)]
+        shift = g.lower[e.dst] - g.period * e.w  # the edge's window bottom
+        # every arc sits at one level's slack offset, shifted like the
+        # edge's window: highest level first, one arc per level at most,
+        # and level 0 always has one
+        level_at = {s[q] - s[0]: q for q in range(L)}
+        levels = [level_at[-a.cost - shift] for a in arcs]
+        assert levels == sorted(set(levels), reverse=True) and levels[-1] == 0
+        # a level without an arc has capacity 0; suffix sums of the finite
+        # caps, highest level first, rebuild the scaled slopes b(L)..b(2)
+        cap_at = {q: a.upper for q, a in zip(levels, arcs)}
+        caps = [cap_at.get(q, 0) for q in reversed(range(L))]
         rebuilt = [Fraction(sum(caps[:seg + 1]), D) for seg in range(L - 1)]
         assert rebuilt == list(reversed(g.slopes[e.dst]))
 
@@ -120,20 +136,20 @@ def test_expand_drops_zero_capacity_arcs(ring3):
     cur = make_curve([(0, 50), (4, 42), (8, 34), (12, 30)])
     g = one_edge_graph(cur.slacks, breakpoints(cur))
     net = expand(g)
-    assert len(net.arcs) == 3
-    assert [a.origin[1] for a in net.arcs] == [0, 1, 3]  # no arc for segment 2
+    e2 = [a for a in net.arcs if (a.src, a.dst) == (0, 0)]
+    assert len(e2) == 3
+    assert [a.cost for a in e2] == [-12, -8, 0]  # levels 3, 2, 0: none for 1
     _e2_caps_rebuild_breakpoints(g, net)
     # every arc of a whole network can carry flow, and each gate window is
     # exactly one uncapacitated arc at its lower bound
     g = split_graph(ring3, 6, curves_for(ring3))
     net = expand(g)
-    big = net.m_cap * net.scale
+    big = _big(g, net)
     assert all(a.upper > 0 for a in net.arcs)
-    for k, e in enumerate(g.edges):
-        if e.kind == "E1":
-            arcs = [a for a in net.arcs if a.origin[0] == k]
-            assert [(a.src, a.dst, a.cost, a.upper) for a in arcs] == [
-                (g.n_gates, e.dst, -e.lower, big)]
+    for i in range(g.n_gates):
+        arcs = [a for a in net.arcs if (a.src, a.dst) == (g.n_gates, i)]
+        assert [(a.src, a.dst, a.cost, a.upper) for a in arcs] == [
+            (g.n_gates, i, -g.lower[i], big)]
 
 
 def test_expand_arcs_on_random_curves():
@@ -153,9 +169,9 @@ def test_expand_arcs_on_random_curves():
         g = split_graph(c, sum(c.delays) + 40, curves)
         net = expand(g)
         assert all(a.upper > 0 for a in net.arcs)
-        e1_arcs = [a for a in net.arcs if g.edges[a.origin[0]].kind == "E1"]
+        e1_arcs = [a for a in net.arcs if a.src == c.n and a.dst != g.v0]
         assert len(e1_arcs) == c.n
-        assert all(a.upper == net.m_cap * net.scale for a in e1_arcs)
+        assert all(a.upper == _big(g, net) for a in e1_arcs)
         _e2_caps_rebuild_breakpoints(g, net)
 
 
@@ -167,7 +183,8 @@ def test_expand_repeats_the_sink_template_per_fanin():
     T = 40
     g = split_graph(c, T, curves_for(c))
     net = expand(g)
-    arcs = [[a for a in net.arcs if a.origin[0] == g.e2_index[k]] for k in range(3)]
+    arcs = [[a for a in net.arcs if (a.src, a.dst) == (e.src, e.dst)]
+            for e in c.edges]
     assert len(arcs[0]) == 4
     for w in (1, 2):
         assert [a.upper for a in arcs[w]] == [a.upper for a in arcs[0]]
@@ -177,8 +194,8 @@ def test_expand_repeats_the_sink_template_per_fanin():
 def test_expand_e4_arcs(ring3):
     g = split_graph(ring3, 5, curves_for(ring3))
     net = expand(g)
-    big = net.m_cap * net.scale
-    e4 = [a for a in net.arcs if g.edges[a.origin[0]].kind == "E4"]
+    big = _big(g, net)
+    e4 = [a for a in net.arcs if g.v0 in (a.src, a.dst)]
     assert len(e4) == 8  # reverse + forward per node other than v0
     rev = [a for a in e4 if a.dst == g.v0]
     fwd = [a for a in e4 if a.src == g.v0]
@@ -191,7 +208,22 @@ def test_expand_pure_circulation(ring3):
     net = expand(g)
     assert all(a.upper >= 0 for a in net.arcs)
     with pytest.raises(TransformError, match="negative capacity"):
-        FlowNetwork(2, (Arc(0, 1, 0, -1, None),))
+        FlowNetwork(2, (Arc(0, 1, 0, -1),))
+
+
+def test_expand_ring3_network(ring3):
+    # the whole network, in order: E1 per gate (3 -> i), E2 per circuit edge
+    # highest level first, then per node the E4 pair (i -> v0, v0 -> i)
+    net = expand(split_graph(ring3, 5, curves_for(ring3)))
+    assert (net.n_nodes, net.scale) == (5, 13)
+    assert [(a.src, a.dst, a.cost, a.upper) for a in net.arcs] == [
+        (3, 0, -2, 351), (3, 1, -3, 351), (3, 2, -4, 351),
+        (0, 1, -36, 20), (0, 1, -23, 19), (0, 1, -13, 13), (0, 1, -3, 299),
+        (1, 2, -32, 20), (1, 2, -19, 19), (1, 2, -9, 13), (1, 2, 1, 299),
+        (2, 0, -30, 20), (2, 0, -17, 19), (2, 0, -7, 13), (2, 0, 3, 299),
+        (0, 4, -10, 351), (4, 0, 0, 351), (1, 4, -10, 351), (4, 1, 0, 351),
+        (2, 4, -10, 351), (4, 2, 0, 351), (3, 4, -10, 351), (4, 3, 0, 351),
+    ]
 
 
 def test_expand_deterministic(ring3):
