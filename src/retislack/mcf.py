@@ -1,15 +1,18 @@
 """Exact integer min-cost circulation solvers.
 
 solve_mcf is a cost-scaling push/relabel solver (epsilon divided by 8 per
-phase, with global price updates).  It bundles the parallel arcs of each
-(src, dst) pair into one convex piecewise-linear arc, kept as one residual
-pair: the cheapest segment with room forward, the costliest with flow
-backward.  Costs are internally multiplied by (nodes + 1), so the
-1-optimal flow it ends with is exactly optimal.  ssp_oracle is an
-independent primal-dual successive-shortest-path solver used for
-cross-checking; it sees every arc unbundled.  Its node potentials keep
-every residual reduced cost >= 0, so each phase is one Dijkstra search,
-and a negative reduced cost raises SolverError.
+phase, with global price updates).  Epsilon starts at the largest |cost|
+of a negative-cost arc with room, the smallest value at which the zero
+flow at zero prices is epsilon-optimal (Goldberg, J. Algorithms 1997), so
+a network with no negative arc cost takes no phase at all.  It bundles the
+parallel arcs of each (src, dst) pair into one convex piecewise-linear
+arc, kept as one residual pair: the cheapest segment with room forward, the
+costliest with flow backward.  Costs are internally multiplied by
+(nodes + 1), so the 1-optimal flow it ends with is exactly optimal.
+ssp_oracle is an independent primal-dual successive-shortest-path solver
+used for cross-checking; it sees every arc unbundled.  Its node
+potentials keep every residual reduced cost >= 0, so each phase is one
+Dijkstra search, and a negative reduced cost raises SolverError.
 """
 from __future__ import annotations
 
@@ -117,7 +120,9 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
     iterations = 0
     update_every = max(1, n // 2)  # relabels between global price updates
 
-    eps = 2 * mult * max((abs(a.cost) for a in net.arcs), default=0)
+    # the smallest eps at which the zero flow at zero prices is eps-optimal
+    eps = mult * max((-a.cost for a in net.arcs if a.upper > 0 and a.cost < 0),
+                     default=0)
 
     # Bundles (Ahuja, Hochbaum & Orlin 2003): the parallel arcs of a group
     # are one convex piecewise-linear arc, kept in canonical fill: with

@@ -102,8 +102,12 @@ def recover_slacks(g: DualGraph, c: Circuit, s_vals) -> list[int]:
     Each gate takes the minimum of its own window value and, over zero-or-
     more fanin edges, the propagated value plus T per FF; capped at the
     period, since no gate's delay plus slack can exceed it, and floored at
-    the smallest level (at most T) so snapping always succeeds.
+    the smallest level (at most T) so snapping always succeeds.  c must be
+    g.circuit itself: a ValueError says a graph and circuit were mixed up.
     """
+    if c is not g.circuit:
+        raise ValueError(
+            "recover_slacks: c is not the circuit of the dual graph g")
     T = g.period
     s1, s2 = s_vals
     out = []

@@ -17,7 +17,19 @@ circuit:
   E2  i -> j           per circuit edge: arrival propagation, cost = the
                        sink gate's curve divided by its penalty divisor
                        kappa_j, its window shifted by -T*w
-  E4  v0 <-> every node: variable bounds [0, N_ff * T] via the start node
+  E4  v0 <-> every node: variable bounds [0, N_ff * T] via the start node,
+                       a bound arc v0 -> u of cost +N_ff * T and a free arc
+                       u -> v0 of cost 0, both of capacity big
+
+The bound itself is an arc u -> v0 of cost -N_ff * T.  `expand` emits its
+complement, and the complement of the free arc v0 -> u: flow f on an arc is
+flow big - f on its complement, with the same residual arcs, so residual
+potentials and answers do not change and the optimal cost rises by exactly
+(n + 1) * N_ff * T * big.  The zero flow on the complements stands for the
+bound arcs saturated, so no E4 arc has negative cost, and the solver's cost
+scaling starts from the largest |cost| of a negative E1 or E2 arc (43 on
+the seed-42 650-gate circuit at its minimum period, against N_ff * T =
+21357).
 
 Every fanin edge of gate j carries the same cost up to its shift, so the
 dual graph keeps each gate's slack levels and its slopes divided by kappa_j
@@ -153,7 +165,7 @@ def expand(g: DualGraph) -> FlowNetwork:
         shift = g.lower[e.dst] - T * e.w
         for off, cap in templates[e.dst]:
             arcs.append(Arc(e.src, e.dst, -(shift + off), cap))
-    for node in range(v0):  # E4: a rewritten negative-bound arc plus a free one
-        arcs.append(Arc(node, v0, -g.nff_bar, big))
-        arcs.append(Arc(v0, node, 0, big))
+    for node in range(v0):  # E4: the bound arc, complemented, plus a free one
+        arcs.append(Arc(v0, node, g.nff_bar, big))
+        arcs.append(Arc(node, v0, 0, big))
     return FlowNetwork(g.n_nodes, tuple(arcs), scale)

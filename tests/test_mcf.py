@@ -201,9 +201,22 @@ def test_solver_flow_optimal_on_random_networks(cost_range, cap_range):
 
 def test_oracle_on_nonnegative_costs_pushes_nothing():
     net = net_of([(0, 1, 4, 5), (1, 2, 0, 5), (2, 0, 3, 5), (1, 1, 0, 2)], 4)
-    sol = ssp_oracle(net)
-    assert sol.flows == (0, 0, 0, 0)
-    assert (sol.cost, sol.iterations) == (0, 0)
+    for solve in (ssp_oracle, solve_mcf):
+        sol = solve(net)
+        assert sol.flows == (0, 0, 0, 0)
+        assert (sol.cost, sol.iterations) == (0, 0)
+
+
+def test_solver_starts_eps_at_largest_negative_cost_with_room():
+    # an arc of zero capacity is never residual, so however negative its
+    # cost it adds no scaling phase and no relabel
+    arcs = [(0, 1, -5, 3), (1, 2, 1, 10), (2, 0, 2, 10), (2, 3, -2, 4),
+            (3, 1, 0, 9)]
+    sol = solve_mcf(net_of(arcs, 4))
+    padded = solve_mcf(net_of(arcs + [(0, 1, -10**12, 0)], 4))
+    assert sol.iterations > 0
+    assert padded.iterations == sol.iterations
+    assert (padded.flows, padded.cost) == (sol.flows + (0,), sol.cost)
 
 
 def test_oracle_counts_each_augmenting_path():
@@ -255,8 +268,29 @@ def test_oracle_matches_on_mixed_curve_pipeline_networks():
         verify_optimal(net, b)
         # shortest residual distances do not depend on which optimal flow
         # was found, so the recovered budget does not depend on the solver
-        assert (residual_potentials(net, a, g.v0, g.nff_bar)
-                == residual_potentials(net, b, g.v0, g.nff_bar))
+        dist = residual_potentials(net, a, g.v0, g.nff_bar)
+        assert dist == residual_potentials(net, b, g.v0, g.nff_bar)
+        # nor on the form of the E4 bound arcs: flow f on the original
+        # (u -> v0, -nff_bar) is flow big - f on the emitted (v0 -> u,
+        # +nff_bar), and likewise for the free arc, with the same residual
+        old = _uncomplemented_e4(g, net)
+        o = solve_mcf(old)
+        verify_optimal(old, o)
+        assert a.cost - o.cost == g.v0 * g.nff_bar * old.arcs[-1].upper
+        assert residual_potentials(old, o, g.v0, g.nff_bar) == dist
+
+
+def _uncomplemented_e4(g, net):
+    """net with each node's E4 pair in its original form: the bound arc
+    (u -> v0, -nff_bar, big) that the solver must saturate, then the free
+    arc (v0 -> u, 0, big)."""
+    body, e4 = net.arcs[:-2 * g.v0], net.arcs[-2 * g.v0:]
+    big = e4[0].upper
+    assert e4 == tuple(a for u in range(g.v0) for a in (
+        Arc(g.v0, u, g.nff_bar, big), Arc(u, g.v0, 0, big)))
+    old = [a for u in range(g.v0) for a in (
+        Arc(u, g.v0, -g.nff_bar, big), Arc(g.v0, u, 0, big))]
+    return FlowNetwork(net.n_nodes, body + tuple(old), net.scale)
 
 
 def bundled_net(rng, cost_range):

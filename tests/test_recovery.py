@@ -38,6 +38,14 @@ def test_recover_slacks_takes_min_over_fanins_and_window():
     assert recover_slacks(g, c, (s1, s2))[j] == T
 
 
+def test_recover_slacks_rejects_another_circuit():
+    text = "gate x 1\ngate j 2\nedge x j 0\n"
+    c = parse_circuit(text)
+    g = split_graph(c, 40, curves_for(c))
+    with pytest.raises(ValueError, match="not the circuit of the dual graph"):
+        recover_slacks(g, parse_circuit(text), ([1, 2], [5]))
+
+
 def test_recover_slacks_floors_at_window_lower():
     c = parse_circuit("gate x 1\ngate j 2\nedge x j 0\n")
     curves = curves_for(c)

@@ -196,11 +196,14 @@ def test_expand_e4_arcs(ring3):
     net = expand(g)
     big = _big(g, net)
     e4 = [a for a in net.arcs if g.v0 in (a.src, a.dst)]
-    assert len(e4) == 8  # reverse + forward per node other than v0
-    rev = [a for a in e4 if a.dst == g.v0]
-    fwd = [a for a in e4 if a.src == g.v0]
-    assert all(a.cost == -g.nff_bar and a.upper == big for a in rev)
-    assert all(a.cost == 0 and a.upper == big for a in fwd)
+    assert len(e4) == 8  # bound + free arc per node other than v0
+    # the bound arc u -> v0 of cost -nff_bar, complemented: v0 -> u at
+    # +nff_bar, whose zero flow stands for the saturated original
+    bound = [a for a in e4 if a.src == g.v0]
+    free = [a for a in e4 if a.dst == g.v0]
+    assert [a.dst for a in bound] == [a.src for a in free] == list(range(g.v0))
+    assert all(a.cost == g.nff_bar and a.upper == big for a in bound)
+    assert all(a.cost == 0 and a.upper == big for a in free)
 
 
 def test_expand_pure_circulation(ring3):
@@ -213,7 +216,7 @@ def test_expand_pure_circulation(ring3):
 
 def test_expand_ring3_network(ring3):
     # the whole network, in order: E1 per gate (3 -> i), E2 per circuit edge
-    # highest level first, then per node the E4 pair (i -> v0, v0 -> i)
+    # highest level first, then per node the E4 pair (v0 -> i, i -> v0)
     net = expand(split_graph(ring3, 5, curves_for(ring3)))
     assert (net.n_nodes, net.scale) == (5, 13)
     assert [(a.src, a.dst, a.cost, a.upper) for a in net.arcs] == [
@@ -221,8 +224,8 @@ def test_expand_ring3_network(ring3):
         (0, 1, -36, 20), (0, 1, -23, 19), (0, 1, -13, 13), (0, 1, -3, 299),
         (1, 2, -32, 20), (1, 2, -19, 19), (1, 2, -9, 13), (1, 2, 1, 299),
         (2, 0, -30, 20), (2, 0, -17, 19), (2, 0, -7, 13), (2, 0, 3, 299),
-        (0, 4, -10, 351), (4, 0, 0, 351), (1, 4, -10, 351), (4, 1, 0, 351),
-        (2, 4, -10, 351), (4, 2, 0, 351), (3, 4, -10, 351), (4, 3, 0, 351),
+        (4, 0, 10, 351), (0, 4, 0, 351), (4, 1, 10, 351), (1, 4, 0, 351),
+        (4, 2, 10, 351), (2, 4, 0, 351), (4, 3, 10, 351), (3, 4, 0, 351),
     ]
 
 
