@@ -13,6 +13,9 @@ ssp_oracle is an independent primal-dual successive-shortest-path solver
 used for cross-checking; it sees every arc unbundled.  Its node
 potentials keep every residual reduced cost >= 0, so each phase is one
 Dijkstra search, and a negative reduced cost raises SolverError.
+residual_potentials reads shortest distances straight off a flow's residual
+arcs; a negative residual cycle reachable from its source, which no optimal
+flow has, raises SolverError.
 """
 from __future__ import annotations
 
@@ -400,25 +403,37 @@ def _drain(r: _Residual, pi: list, excess: list) -> int:
     return paths
 
 
-def _spfa(n, head, cost, res, adj, sources):
-    """Label-correcting shortest paths over residual arcs from a source set."""
+def residual_potentials(net: FlowNetwork, sol: FlowSolution, source: int,
+                        sentinel: int) -> tuple[int, ...]:
+    """Shortest residual distances from `source` under the flow `sol`.
+
+    The residual network has src -> dst at +cost for each arc with room and
+    dst -> src at -cost for each arc with flow; a FIFO label-correcting
+    search runs over it.  Unreachable nodes get the sentinel distance (the
+    loosest feasible value).  A flow is optimal exactly when its residual
+    network has no negative cycle (Ahuja, Magnanti & Orlin, Network Flows,
+    1993, Thm 9.1), so these distances are also the flow's certificate: a
+    negative cycle reachable from `source` raises SolverError.
+    """
+    n = net.n_nodes
+    adj = [[] for _ in range(n)]
+    for a, x in zip(net.arcs, sol.flows):
+        if x < a.upper:
+            adj[a.src].append((a.dst, a.cost))
+        if x > 0:
+            adj[a.dst].append((a.src, -a.cost))
     dist = [None] * n
     inq = [False] * n
     relax = [0] * n
-    q = deque()
-    for s in sources:
-        dist[s] = 0
-        inq[s] = True
-        q.append(s)
+    dist[source] = 0
+    inq[source] = True
+    q = deque([source])
     while q:
         u = q.popleft()
         inq[u] = False
         du = dist[u]
-        for a in adj[u]:
-            if res[a] <= 0:
-                continue
-            v = head[a]
-            nd = du + cost[a]
+        for v, c in adj[u]:
+            nd = du + c
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 if not inq[v]:
@@ -427,31 +442,4 @@ def _spfa(n, head, cost, res, adj, sources):
                         raise SolverError("negative cycle in residual network")
                     inq[v] = True
                     q.append(v)
-    return dist
-
-
-def residual_potentials(net: FlowNetwork, sol: FlowSolution, source: int,
-                        sentinel: int) -> tuple[int, ...]:
-    """Shortest residual distances from `source` given an optimal flow.
-
-    Unreachable nodes get the sentinel distance (the loosest feasible value).
-    """
-    r = _Residual(net)
-    for k, x in enumerate(sol.flows):
-        r.res[2 * k] = net.arcs[k].upper - x
-        r.res[2 * k + 1] = x
-    dist = _spfa(net.n_nodes, r.head, r.cost, r.res, r.adj, [source])
-    return tuple(d if d is not None else sentinel for d in dist)
-
-
-def verify_circulation(net: FlowNetwork, sol: FlowSolution) -> None:
-    """Raise unless the solution is a capacity-feasible, conserved flow."""
-    node_bal = [0] * net.n_nodes
-    for a, x in zip(net.arcs, sol.flows):
-        if not (0 <= x <= a.upper):
-            raise SolverError(f"flow {x} outside bounds on arc {a}")
-        node_bal[a.src] -= x
-        node_bal[a.dst] += x
-    if any(node_bal):
-        raise SolverError("flow conservation violated")
-
+    return tuple(sentinel if d is None else d for d in dist)

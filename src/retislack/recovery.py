@@ -12,7 +12,6 @@ winning retiming while static timing shows slack for them.
 """
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
@@ -208,7 +207,6 @@ def min_slack_period(c: Circuit, curves: dict[int, PowerSlackCurve]):
 def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
                  T: int | None = None, check: bool = False) -> BudgetResult:
     """Full budgeting flow: split, expand, solve, recover, snap, finalize."""
-    t0 = time.perf_counter()
     tmin, _ = min_slack_period(c, curves)
     if T is None:
         T = tmin
@@ -223,14 +221,12 @@ def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
     sbar = recover_slacks(g, c, s_vals)
     assignment = snap_levels(sbar, curves, c.delays)
     result = finalize(c, T, curves, assignment)
-    diag = dict(result.diagnostics)
-    diag.update({
+    result.diagnostics.update({
         "tmin": tmin,
         "mu": mu,
         "sbar": tuple(sbar),
         "flow_cost": sol.cost,
         "solver_iterations": sol.iterations,
-        "runtime": time.perf_counter() - t0,
     })
     if check:
         oracle = ssp_oracle(net)
@@ -238,9 +234,8 @@ def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
             raise RecoveryError(
                 f"flow cost {sol.cost} disagrees with the cross-check {oracle.cost}")
         verify_result(c, result)
-        diag["checked"] = True
-    return BudgetResult(result.assignment, result.retiming, result.period,
-                        result.achieved_period, diag)
+        result.diagnostics["checked"] = True
+    return result
 
 
 def verify_result(c: Circuit, result: BudgetResult) -> None:

@@ -121,10 +121,6 @@ class FlowNetwork:
                 raise TransformError(f"arc {a}: negative capacity")
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def _template(slacks: tuple[int, ...], bs: tuple[Fraction, ...], scale: int,
               big: int) -> list[tuple[int, int]]:
     """(slack offset, capacity) of each arc of a costed edge into a gate with
@@ -155,7 +151,7 @@ def expand(g: DualGraph) -> FlowNetwork:
     total_b = Fraction(0)
     for j, count in fanins.items():
         for b in g.slopes[j]:
-            scale = _lcm(scale, b.denominator)
+            scale = math.lcm(scale, b.denominator)
         total_b += count * sum(g.slopes[j])
     big = (1 + math.ceil(total_b)) * scale
     templates = {j: _template(g.slacks[j], g.slopes[j], scale, big) for j in fanins}

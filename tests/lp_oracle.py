@@ -18,16 +18,12 @@ lcm).  Float LP results are rounded onto that grid, making comparisons
 between the two variants exact.
 """
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 from scipy.optimize import linprog
 
 from retislack.power import penalty_divisor
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 def _round_to_grid(x: float, K: int) -> Fraction:
@@ -40,8 +36,8 @@ def _denominator(c, curves) -> int:
         gaps = 1
         s = curves[j].slacks
         for q in range(1, len(s)):
-            gaps = _lcm(gaps, s[q] - s[q - 1])
-        K = _lcm(K, penalty_divisor(c, j) * gaps)
+            gaps = lcm(gaps, s[q] - s[q - 1])
+        K = lcm(K, penalty_divisor(c, j) * gaps)
     return K
 
 

@@ -12,7 +12,6 @@ from retislack import (breakpoints, brute_force, generate_random, make_curve,
                        parse_circuit, render_circuit, run_pipeline, solve_mcf,
                        ssp_oracle)
 from retislack.cli import main
-from retislack.exact import oracle_min_period
 from retislack.retime import min_period
 from retislack.transform import expand
 
@@ -20,6 +19,7 @@ from conftest import (CURVE3_PAIRS, CURVE4_PAIRS, RING3_TEXT, curves_for,
                       one_edge_graph)
 from test_mcf import random_net
 from lp_oracle import relaxed_optimum
+from period_oracle import oracle_min_period
 
 CURVES_TEXT = json.dumps({"default": CURVE4_PAIRS})
 

@@ -7,10 +7,22 @@ import pytest
 from retislack import (generate_random, load_curves, render_circuit,
                        solve_mcf, ssp_oracle)
 from retislack.mcf import (FlowSolution, SolverError, _raise_potentials,
-                           _Residual, residual_potentials, verify_circulation)
+                           _Residual, residual_potentials)
 from retislack.transform import Arc, FlowNetwork, expand, split_graph
 from retislack.recovery import min_slack_period
 from conftest import curves_for
+
+
+def verify_circulation(net, sol):
+    """Raise unless the solution is a capacity-feasible, conserved flow."""
+    node_bal = [0] * net.n_nodes
+    for a, x in zip(net.arcs, sol.flows):
+        if not (0 <= x <= a.upper):
+            raise SolverError(f"flow {x} outside bounds on arc {a}")
+        node_bal[a.src] -= x
+        node_bal[a.dst] += x
+    if any(node_bal):
+        raise SolverError("flow conservation violated")
 
 
 def verify_optimal(net, sol):
@@ -138,6 +150,49 @@ def test_unreachable_node_gets_sentinel():
     sol = solve_mcf(net)
     dist = residual_potentials(net, sol, 0, sentinel=42)
     assert dist[2] == 42
+
+
+def test_residual_potentials_raise_on_a_feasible_flow_that_is_not_optimal():
+    # 4 units cross from 0 to 1: optimal puts 3 on the -5 arc and 1 on the
+    # -2 arc; moving one unit to the costlier arc keeps the flow feasible
+    # and leaves the residual cycle 0 -> 1 (-5), 1 -> 0 (+2) of cost -3,
+    # whose second arc is the backward residual arc of a carrying arc
+    net = net_of([(0, 1, -5, 3), (0, 1, -2, 3), (1, 0, 0, 4)], 2)
+    sol = solve_mcf(net)
+    assert sol.flows == (3, 1, 4)
+    assert residual_potentials(net, sol, 0, sentinel=-1) == (0, -2)
+    bad = FlowSolution((2, 2, 4), sol.cost + 3, 0)
+    verify_circulation(net, bad)
+    with pytest.raises(SolverError, match="negative cycle"):
+        residual_potentials(net, bad, 0, sentinel=-1)
+
+
+def test_residual_potentials_raise_on_a_pipeline_flow_moved_off_optimum():
+    c = generate_random(30, edge_density=2.2, ff_prob=0.4, seed=42)
+    curves = curves_for(c)
+    tmin, _ = min_slack_period(c, curves)
+    g = split_graph(c, tmin, curves)
+    net = expand(g)
+    sol = solve_mcf(net)
+    # the optimum passes, and its distances price every residual arc >= 0
+    dist = residual_potentials(net, sol, g.v0, sentinel=g.nff_bar)
+    for a, x in zip(net.arcs, sol.flows):
+        if x < a.upper:
+            assert dist[a.dst] <= dist[a.src] + a.cost
+        if x > 0:
+            assert dist[a.src] <= dist[a.dst] - a.cost
+    # the first cheaper arc with flow whose costlier parallel arc has room
+    arcs, flows = net.arcs, list(sol.flows)
+    lo, hi = next((i, k) for i, a in enumerate(arcs) if flows[i] > 0
+                  for k, b in enumerate(arcs)
+                  if (b.src, b.dst) == (a.src, a.dst) and b.cost > a.cost
+                  and flows[k] < b.upper)
+    flows[lo] -= 1
+    flows[hi] += 1
+    bad = FlowSolution(tuple(flows), sol.cost + arcs[hi].cost - arcs[lo].cost, 0)
+    verify_circulation(net, bad)
+    with pytest.raises(SolverError, match="negative cycle"):
+        residual_potentials(net, bad, g.v0, sentinel=g.nff_bar)
 
 
 def test_verify_rejects_bad_solutions():

@@ -2,9 +2,10 @@
 import pytest
 
 from retislack import brute_force, generate_random, make_curve, parse_circuit
-from retislack.exact import OracleError, oracle_min_period
+from retislack.exact import OracleError
 from retislack.retime import min_period
 from conftest import curves_for
+from period_oracle import oracle_min_period
 
 
 def test_brute_force_ring3(ring3):

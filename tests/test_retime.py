@@ -7,9 +7,9 @@ import pytest
 from retislack import (Circuit, Edge, Gate, Retiming, RetimingError,
                        feasible_retiming, generate_random, parse_circuit, sta)
 from retislack.circuit import arrivals
-from retislack.exact import oracle_min_period
 from retislack.retime import min_period, retimed_weights
 from conftest import RING3_TEXT
+from period_oracle import oracle_min_period
 
 
 def test_zero_retiming_is_identity(ring3):
