@@ -36,6 +36,14 @@ def _read(path: str) -> str:
         raise CircuitError(f"cannot read {path}: {e}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+    except OSError as e:
+        raise CircuitError(f"cannot write {path}: {e}") from None
+
+
 def _load_circuit(path: str) -> Circuit:
     return parse_circuit(_read(path))
 
@@ -115,11 +123,11 @@ def cmd_budget(args) -> int:
                 "solver_iterations": diag["solver_iterations"],
                 "flow_cost": diag["flow_cost"],
                 "snap_power": str(diag["snap_power"]),
+                "fill_steps": diag["fill_steps"],
+                "probes": diag["probes"],
             },
         }
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -196,8 +204,7 @@ def cmd_bench(args) -> int:
         w.writerow(diff)
     text = out.getvalue()
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        _write(args.csv, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -409,11 +409,11 @@ def residual_potentials(net: FlowNetwork, sol: FlowSolution, source: int,
 
     The residual network has src -> dst at +cost for each arc with room and
     dst -> src at -cost for each arc with flow; a FIFO label-correcting
-    search runs over it.  Unreachable nodes get the sentinel distance (the
-    loosest feasible value).  A flow is optimal exactly when its residual
-    network has no negative cycle (Ahuja, Magnanti & Orlin, Network Flows,
-    1993, Thm 9.1), so these distances are also the flow's certificate: a
-    negative cycle reachable from `source` raises SolverError.
+    search runs over it.  Unreachable nodes get the sentinel distance.  A
+    flow is optimal exactly when its residual network has no negative cycle
+    (Ahuja, Magnanti & Orlin, Network Flows, 1993, Thm 9.1), so these
+    distances are also the flow's certificate: a negative cycle reachable
+    from `source` raises SolverError.
     """
     n = net.n_nodes
     adj = [[] for _ in range(n)]

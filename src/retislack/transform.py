@@ -1,13 +1,12 @@
 """Dual graph and its expansion into a min-cost circulation.
 
 The dual graph is the circuit at period T plus per-gate data.  Every gate i
-is one node i carrying its scaled arrival variable; one reference node n is
-the common tail of the slack windows and one start node v0 = n + 1 bounds
-every variable.  There are no retiming-label nodes or label-legality edges:
-the retiming comes from retime.feasible_retiming, not from the flow.
-`expand` emits three arc classes, those of the convex-cost dual flow of
-Ahuja, Hochbaum & Orlin (Management Science 2003), straight from the
-circuit:
+is one node i carrying its scaled arrival variable; one reference node
+v0 = n is the common tail of the slack windows and anchors the potentials.
+There are no retiming-label nodes or label-legality edges: the retiming
+comes from retime.feasible_retiming, not from the flow.  `expand` emits two
+arc classes, those of the convex-cost dual flow of Ahuja, Hochbaum & Orlin
+(Management Science 2003), straight from the circuit:
 
   E1  n -> i           per gate: the gate's slack window [lower_i, upper_i],
                        its delay plus its first and last slack, as one
@@ -17,19 +16,10 @@ circuit:
   E2  i -> j           per circuit edge: arrival propagation, cost = the
                        sink gate's curve divided by its penalty divisor
                        kappa_j, its window shifted by -T*w
-  E4  v0 <-> every node: variable bounds [0, N_ff * T] via the start node,
-                       a bound arc v0 -> u of cost +N_ff * T and a free arc
-                       u -> v0 of cost 0, both of capacity big
 
-The bound itself is an arc u -> v0 of cost -N_ff * T.  `expand` emits its
-complement, and the complement of the free arc v0 -> u: flow f on an arc is
-flow big - f on its complement, with the same residual arcs, so residual
-potentials and answers do not change and the optimal cost rises by exactly
-(n + 1) * N_ff * T * big.  The zero flow on the complements stands for the
-bound arcs saturated, so no E4 arc has negative cost, and the solver's cost
-scaling starts from the largest |cost| of a negative E1 or E2 arc (43 on
-the seed-42 650-gate circuit at its minimum period, against N_ff * T =
-21357).
+The reference node has only out-arcs, so in every circulation its E1 arcs
+carry no flow and keep room, and every gate is reached from it in the
+residual network.
 
 Every fanin edge of gate j carries the same cost up to its shift, so the
 dual graph keeps each gate's slack levels and its slopes divided by kappa_j
@@ -72,11 +62,11 @@ class DualGraph:
 
     @property
     def n_nodes(self) -> int:
-        return self.circuit.n + 2
+        return self.circuit.n + 1
 
     @property
     def v0(self) -> int:
-        return self.circuit.n + 1
+        return self.circuit.n
 
 
 def split_graph(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
@@ -143,7 +133,7 @@ def _template(slacks: tuple[int, ...], bs: tuple[Fraction, ...], scale: int,
 
 def expand(g: DualGraph) -> FlowNetwork:
     """Expand the dual graph into an integer min-cost circulation network."""
-    c, T, v0 = g.circuit, g.period, g.v0
+    c, T = g.circuit, g.period
     fanins = Counter(e.dst for e in c.edges)
     if any(b < 0 for j in fanins for b in g.slopes[j]):
         raise TransformError("negative capacity slope on an E2 arc")
@@ -156,12 +146,9 @@ def expand(g: DualGraph) -> FlowNetwork:
     big = (1 + math.ceil(total_b)) * scale
     templates = {j: _template(g.slacks[j], g.slopes[j], scale, big) for j in fanins}
 
-    arcs = [Arc(c.n, i, -lo, big) for i, lo in enumerate(g.lower)]  # E1
+    arcs = [Arc(g.v0, i, -lo, big) for i, lo in enumerate(g.lower)]  # E1
     for e in c.edges:  # E2
         shift = g.lower[e.dst] - T * e.w
         for off, cap in templates[e.dst]:
             arcs.append(Arc(e.src, e.dst, -(shift + off), cap))
-    for node in range(v0):  # E4: the bound arc, complemented, plus a free one
-        arcs.append(Arc(v0, node, g.nff_bar, big))
-        arcs.append(Arc(node, v0, 0, big))
     return FlowNetwork(g.n_nodes, tuple(arcs), scale)

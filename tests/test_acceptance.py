@@ -191,19 +191,19 @@ def test_criterion_8_scale(tmp_path):
     code = main(["budget", str(ckt), str(curves_path), "--json", str(out_path)])
     dt = time.perf_counter() - t0
     # pinned answer (recovered values capped at the period, one dual node per
-    # gate; bisection of the snapped budget, then the fill; relabels of the
-    # solver with eps / 8 per phase from the largest negative arc cost, global
-    # price updates and one residual pair per group of parallel arcs; the E4
-    # bound arcs emitted complemented, so the flow cost is the uncomplemented
-    # form's -114487077773237 plus 651 * nff_bar * big, 651 * 21357 * 8234460);
-    # any change to it must be explained
+    # gate, potentials anchored at the reference node; bisection of the
+    # snapped budget, then the fill; relabels of the solver with eps / 8 per
+    # phase from the largest negative arc cost, global price updates and one
+    # residual pair per group of parallel arcs); any change to it must be
+    # explained
     doc = json.loads(out_path.read_text()) if code == 0 else {}
     got = (doc.get("period"), doc.get("achieved_period"), doc.get("total_power"),
            doc.get("diagnostics"))
     want = (21, 21, "54410", {"tmin": 21, "repair_steps": 151,
-                              "solver_iterations": 16943,
+                              "solver_iterations": 17372,
                               "flow_cost": -28968017,
-                              "snap_power": "52760"})
+                              "snap_power": "52760",
+                              "fill_steps": 249, "probes": 3})
     _report(8, "scale", code == 0 and dt < 10.0 and got == want,
             f"650 gates / {len(c.edges)} edges budgeted in {dt:.2f} s "
             f"(bound 10 s), answer {'as pinned' if got == want else got}")

@@ -133,15 +133,26 @@ def test_budget_json_document(tmp_path, capsys):
     assert set(doc["retiming"]) == {"a", "b", "c"}
     diag = doc["diagnostics"]
     assert set(diag) == {"tmin", "repair_steps", "solver_iterations",
-                         "flow_cost", "snap_power"}
+                         "flow_cost", "snap_power", "fill_steps", "probes"}
     assert diag["tmin"] == 5
     assert isinstance(diag["repair_steps"], int) and diag["repair_steps"] >= 0
     assert isinstance(diag["solver_iterations"], int)
     assert isinstance(diag["flow_cost"], int)
+    assert isinstance(diag["fill_steps"], int) and diag["fill_steps"] >= 0
+    assert 1 <= diag["probes"] <= 12
     # power strings as in the rest of the document; the fill never leaves
     # the answer above the all-minimum power (3 gates at 100)
     assert Fraction(diag["snap_power"]) <= 300
     assert Fraction(doc["total_power"]) <= 300
+
+
+def test_budget_json_unwritable_path_is_input_error(tmp_path, capsys):
+    ckt = write(tmp_path, "r.ckt", RING3_TEXT)
+    cur = write(tmp_path, "c.json", CURVES_TEXT)
+    path = str(tmp_path / "missing" / "out.json")
+    assert main(["budget", ckt, cur, "--json", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: ")
 
 
 def test_bench_generated_deterministic(tmp_path, capsys):
@@ -190,3 +201,10 @@ def test_bench_zero_optimum_power(tmp_path, capsys):
     assert lines[1].startswith("ring3,3,3,") and ",0,0," in lines[1]
     assert lines[-1].startswith("Diff,")
     assert len(lines) == 1 + 1 + 2  # header, one case, Avg + Diff footers
+
+
+def test_bench_csv_unwritable_path_is_input_error(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "bench.csv")
+    assert main(["bench", "--gen", "1", "--csv", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: ")

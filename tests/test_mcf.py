@@ -212,7 +212,7 @@ def test_solver_statistics_present():
     assert sol.iterations >= 0
 
 
-BIG = 2**40  # beyond the E4 capacity `big` of any benchmark network
+BIG = 2**40  # beyond the capacity `big` of any benchmark network
 
 ODD_NETWORKS = {
     "zero capacities": ([(0, 1, -5, 0), (1, 0, -3, 0), (0, 1, -1, 2),
@@ -325,27 +325,35 @@ def test_oracle_matches_on_mixed_curve_pipeline_networks():
         # was found, so the recovered budget does not depend on the solver
         dist = residual_potentials(net, a, g.v0, g.nff_bar)
         assert dist == residual_potentials(net, b, g.v0, g.nff_bar)
-        # nor on the form of the E4 bound arcs: flow f on the original
-        # (u -> v0, -nff_bar) is flow big - f on the emitted (v0 -> u,
-        # +nff_bar), and likewise for the free arc, with the same residual
-        old = _uncomplemented_e4(g, net)
-        o = solve_mcf(old)
-        verify_optimal(old, o)
-        assert a.cost - o.cost == g.v0 * g.nff_bar * old.arcs[-1].upper
-        assert residual_potentials(old, o, g.v0, g.nff_bar) == dist
 
 
-def _uncomplemented_e4(g, net):
-    """net with each node's E4 pair in its original form: the bound arc
-    (u -> v0, -nff_bar, big) that the solver must saturate, then the free
-    arc (v0 -> u, 0, big)."""
-    body, e4 = net.arcs[:-2 * g.v0], net.arcs[-2 * g.v0:]
-    big = e4[0].upper
-    assert e4 == tuple(a for u in range(g.v0) for a in (
-        Arc(g.v0, u, g.nff_bar, big), Arc(u, g.v0, 0, big)))
-    old = [a for u in range(g.v0) for a in (
-        Arc(u, g.v0, -g.nff_bar, big), Arc(g.v0, u, 0, big))]
-    return FlowNetwork(net.n_nodes, body + tuple(old), net.scale)
+def test_reference_node_anchors_pipeline_flows(ring3):
+    # the reference node v0 = n has only out-arcs, the E1 windows: in every
+    # circulation they carry nothing and keep room, so every node is reached
+    # from v0 and no potential falls back on the sentinel
+    rng = random.Random(1616)
+    circuits = [ring3] + [generate_random(rng.randint(5, 60), edge_density=2.2,
+                                          ff_prob=0.4, seed=1600 + i)
+                          for i in range(39)]
+    marker = object()
+    flows = 0
+    for c in circuits:
+        names = [gate.name for gate in c.gates]
+        mixed = load_curves(json.dumps({n: _mixed_curve(rng) for n in names}), c)
+        for curves in (curves_for(c), mixed):
+            tmin, _ = min_slack_period(c, curves)
+            for T in (tmin, (13 * tmin + 9) // 10):
+                g = split_graph(c, T, curves)
+                net = expand(g)
+                assert g.v0 == g.n_gates and net.n_nodes == g.n_gates + 1
+                assert all(a.dst != g.v0 for a in net.arcs)
+                for sol in (solve_mcf(net), ssp_oracle(net)):
+                    assert all(x == 0 for a, x in zip(net.arcs, sol.flows)
+                               if a.src == g.v0)
+                    dist = residual_potentials(net, sol, g.v0, sentinel=marker)
+                    assert marker not in dist
+                flows += 1
+    assert flows == 160
 
 
 def bundled_net(rng, cost_range):

@@ -22,10 +22,9 @@ def _big(g, net):
 
 def _e2_blocks(g, net):
     """Each circuit edge's E2 arcs, cut by position: they follow the n E1
-    arcs in edge order, every edge into gate j emits the same number, and
-    the 2 (n + 1) E4 arcs come last."""
+    arcs in edge order, and every edge into gate j emits the same number."""
     c = g.circuit
-    mid = net.arcs[c.n:len(net.arcs) - 2 * g.v0]
+    mid = net.arcs[c.n:]
     arcs_per_pair = Counter((a.src, a.dst) for a in mid)
     edges_per_pair = Counter((e.src, e.dst) for e in c.edges)
     blocks, pos = [], 0
@@ -42,8 +41,8 @@ def test_split_ring3_structure(ring3):
     g = split_graph(ring3, 5, curves_for(ring3))
     assert g.circuit is ring3 and g.period == 5
     assert g.n_gates == 3
-    assert g.n_nodes == 5  # one node per gate, the reference node, v0
-    assert g.v0 == 4
+    assert g.n_nodes == 4  # one node per gate, then the reference node v0
+    assert g.v0 == 3
     assert g.nff_bar == 2 * 5  # two FFs total, period 5
 
 
@@ -169,7 +168,7 @@ def test_expand_arcs_on_random_curves():
         g = split_graph(c, sum(c.delays) + 40, curves)
         net = expand(g)
         assert all(a.upper > 0 for a in net.arcs)
-        e1_arcs = [a for a in net.arcs if a.src == c.n and a.dst != g.v0]
+        e1_arcs = [a for a in net.arcs if a.src == g.v0]
         assert len(e1_arcs) == c.n
         assert all(a.upper == _big(g, net) for a in e1_arcs)
         _e2_caps_rebuild_breakpoints(g, net)
@@ -191,21 +190,6 @@ def test_expand_repeats_the_sink_template_per_fanin():
         assert [a.cost - b.cost for a, b in zip(arcs[w], arcs[0])] == [T * w] * 4
 
 
-def test_expand_e4_arcs(ring3):
-    g = split_graph(ring3, 5, curves_for(ring3))
-    net = expand(g)
-    big = _big(g, net)
-    e4 = [a for a in net.arcs if g.v0 in (a.src, a.dst)]
-    assert len(e4) == 8  # bound + free arc per node other than v0
-    # the bound arc u -> v0 of cost -nff_bar, complemented: v0 -> u at
-    # +nff_bar, whose zero flow stands for the saturated original
-    bound = [a for a in e4 if a.src == g.v0]
-    free = [a for a in e4 if a.dst == g.v0]
-    assert [a.dst for a in bound] == [a.src for a in free] == list(range(g.v0))
-    assert all(a.cost == g.nff_bar and a.upper == big for a in bound)
-    assert all(a.cost == 0 and a.upper == big for a in free)
-
-
 def test_expand_pure_circulation(ring3):
     g = split_graph(ring3, 5, curves_for(ring3))
     net = expand(g)
@@ -215,17 +199,15 @@ def test_expand_pure_circulation(ring3):
 
 
 def test_expand_ring3_network(ring3):
-    # the whole network, in order: E1 per gate (3 -> i), E2 per circuit edge
-    # highest level first, then per node the E4 pair (v0 -> i, i -> v0)
+    # the whole network, in order: E1 per gate (v0 = 3 -> i), then E2 per
+    # circuit edge, highest level first
     net = expand(split_graph(ring3, 5, curves_for(ring3)))
-    assert (net.n_nodes, net.scale) == (5, 13)
+    assert (net.n_nodes, net.scale) == (4, 13)
     assert [(a.src, a.dst, a.cost, a.upper) for a in net.arcs] == [
         (3, 0, -2, 351), (3, 1, -3, 351), (3, 2, -4, 351),
         (0, 1, -36, 20), (0, 1, -23, 19), (0, 1, -13, 13), (0, 1, -3, 299),
         (1, 2, -32, 20), (1, 2, -19, 19), (1, 2, -9, 13), (1, 2, 1, 299),
         (2, 0, -30, 20), (2, 0, -17, 19), (2, 0, -7, 13), (2, 0, 3, 299),
-        (4, 0, 10, 351), (0, 4, 0, 351), (4, 1, 10, 351), (1, 4, 0, 351),
-        (4, 2, 10, 351), (2, 4, 0, 351), (4, 3, 10, 351), (3, 4, 0, 351),
     ]
 
 
