@@ -5,7 +5,7 @@ the power at each.  Power must be nonincreasing and convex in slack: the
 magnitudes of the segment slopes (the breakpoints) are nonincreasing from
 left to right.  Breakpoints are exact rationals.  A curve is shared, never
 copied: every gate that uses the same curve-file entry gets the same object,
-and the dual graph divides its slopes by each gate's penalty divisor once.
+and `transform` divides its breakpoints by each gate's penalty divisor once.
 """
 from __future__ import annotations
 
@@ -65,12 +65,6 @@ def breakpoints(curve: PowerSlackCurve) -> list[Fraction]:
     s = curve.slacks
     p = curve.powers
     return [Fraction(p[q - 1] - p[q], s[q] - s[q - 1]) for q in range(1, len(s))]
-
-
-def penalty_divisor(c: Circuit, j: int) -> int:
-    """Number of zero-FF fanin edges of gate j, clamped to at least 1."""
-    k = sum(1 for e in c.fanin[j] if c.edges[e].w == 0)
-    return max(1, k)
 
 
 def load_curves(text: str, c: Circuit) -> dict[int, PowerSlackCurve]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import Circuit
-from .power import PowerSlackCurve, breakpoints, penalty_divisor
+from .power import PowerSlackCurve, breakpoints
 
 
 class TransformError(ValueError):
@@ -67,6 +67,12 @@ class DualGraph:
     @property
     def v0(self) -> int:
         return self.circuit.n
+
+
+def penalty_divisor(c: Circuit, j: int) -> int:
+    """Number of zero-FF fanin edges of gate j, clamped to at least 1."""
+    k = sum(1 for e in c.fanin[j] if c.edges[e].w == 0)
+    return max(1, k)
 
 
 def split_graph(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],

@@ -1,11 +1,13 @@
-"""Exhaustive reference solvers."""
+"""Exhaustive and MILP reference solvers."""
 import pytest
 
 from retislack import brute_force, generate_random, make_curve, parse_circuit
 from retislack.exact import OracleError
 from retislack.retime import min_period
 from conftest import curves_for
+from milp_oracle import optimum
 from period_oracle import oracle_min_period
+from test_acceptance import _tiny_suite
 
 
 def test_brute_force_ring3(ring3):
@@ -91,3 +93,14 @@ def test_brute_force_is_lower_bound_for_any_feasible_assignment(ring3):
         if feasible_retiming(ring3, 6, eff) is not None:
             power = sum(curves[j].powers[q] for j, q in enumerate(levels))
             assert power >= opt.power
+
+
+def test_milp_optimum_matches_brute_force():
+    # every tiny-suite case at its period, and one period below Tmin
+    suite = _tiny_suite()
+    for c, curves, res, opt in suite:
+        assert optimum(c, res.period, curves) == opt.power
+    c, curves, res, _ = suite[0]
+    below = res.diagnostics["tmin"] - 1
+    assert brute_force(c, below, curves) is None
+    assert optimum(c, below, curves) is None

@@ -5,7 +5,6 @@ import pytest
 
 from retislack import (CurveError, breakpoints, load_curves, make_curve,
                        parse_circuit)
-from retislack.power import penalty_divisor
 from conftest import CURVE4_PAIRS
 
 
@@ -49,19 +48,6 @@ def test_curve_drop_matches_breakpoint_times_gap(curve4):
     bs = breakpoints(curve4)
     for q in range(1, curve4.nlevels):
         assert p[q - 1] - p[q] == bs[q - 1] * (s[q] - s[q - 1])
-
-
-def test_penalty_divisor_counts_zero_ff_fanins():
-    c = parse_circuit(
-        "gate a 1\ngate b 1\ngate c 1\ngate d 1\n"
-        "edge a d 0\nedge b d 1\nedge c d 0\n")
-    assert penalty_divisor(c, c.gate_id("d")) == 2
-    assert penalty_divisor(c, c.gate_id("a")) == 1  # no fanins, clamped
-
-
-def test_penalty_divisor_mixed():
-    c = parse_circuit("gate a 1\ngate b 1\nedge a b 0\nedge a b 1\n")
-    assert penalty_divisor(c, 1) == 1
 
 
 def test_load_curves_default_and_override():

@@ -8,8 +8,7 @@ import pytest
 
 from retislack import (breakpoints, expand, generate_random, make_curve,
                        parse_circuit, split_graph)
-from retislack.power import penalty_divisor
-from retislack.transform import Arc, FlowNetwork, TransformError
+from retislack.transform import Arc, FlowNetwork, TransformError, penalty_divisor
 from conftest import curves_for, one_edge_graph
 
 
@@ -79,6 +78,19 @@ def test_split_keeps_each_gates_levels_and_slopes_over_kappa():
         drop = sum(b * (s[q + 1] - s[q]) for q, b in enumerate(g.slopes[j]))
         assert drop == Fraction(p[0] - p[-1], kappa)
     assert g.slopes[c.gate_id("d")] == (2, Fraction(3, 2), Fraction(10, 13))
+
+
+def test_penalty_divisor_counts_zero_ff_fanins():
+    c = parse_circuit(
+        "gate a 1\ngate b 1\ngate c 1\ngate d 1\n"
+        "edge a d 0\nedge b d 1\nedge c d 0\n")
+    assert penalty_divisor(c, c.gate_id("d")) == 2
+    assert penalty_divisor(c, c.gate_id("a")) == 1  # no fanins, clamped
+
+
+def test_penalty_divisor_mixed():
+    c = parse_circuit("gate a 1\ngate b 1\nedge a b 0\nedge a b 1\n")
+    assert penalty_divisor(c, 1) == 1
 
 
 def test_split_rejects_impossible_period(ring3):
