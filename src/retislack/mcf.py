@@ -1,21 +1,28 @@
 """Exact integer min-cost circulation solvers.
 
+Both solvers work only on the live arcs: a linear-time peel removes every
+node with no in-arc or no out-arc of positive capacity, with its arcs, until
+none is left.  No circulation carries flow on a removed arc (the reference
+node's window arcs are all removed), so the solvers never saturate them,
+report flow 0 on them and find the same optimal cost.
+
 solve_mcf is a cost-scaling push/relabel solver (epsilon divided by 8 per
-phase, with global price updates).  Epsilon starts at the largest |cost|
-of a negative-cost arc with room, the smallest value at which the zero
-flow at zero prices is epsilon-optimal (Goldberg, J. Algorithms 1997), so
-a network with no negative arc cost takes no phase at all.  It bundles the
-parallel arcs of each (src, dst) pair into one convex piecewise-linear
-arc, kept as one residual pair: the cheapest segment with room forward, the
-costliest with flow backward.  Costs are internally multiplied by
-(nodes + 1), so the 1-optimal flow it ends with is exactly optimal.
+phase, with global price updates over Dial's buckets).  Epsilon starts at
+the largest |cost| of a negative-cost live arc, the smallest value at which
+the zero flow at zero prices is epsilon-optimal (Goldberg, J. Algorithms
+1997), so a network with no negative arc cost takes no phase at all.  It
+bundles the parallel arcs of each (src, dst) pair into one convex
+piecewise-linear arc, kept as one residual pair: the cheapest segment with
+room forward, the costliest with flow backward.  Costs are internally
+multiplied by (nodes + 1), so the 1-optimal flow it ends with is exactly
+optimal.
 ssp_oracle is an independent primal-dual successive-shortest-path solver
-used for cross-checking; it sees every arc unbundled.  Its node
+used for cross-checking; it sees every live arc unbundled.  Its node
 potentials keep every residual reduced cost >= 0, so each phase is one
 Dijkstra search, and a negative reduced cost raises SolverError.
 residual_potentials reads shortest distances straight off a flow's residual
-arcs; a negative residual cycle reachable from its source, which no optimal
-flow has, raises SolverError.
+arcs, removed arcs included; a negative residual cycle reachable from its
+source, which no optimal flow has, raises SolverError.
 """
 from __future__ import annotations
 
@@ -37,12 +44,54 @@ class FlowSolution:
     iterations: int
 
 
+def _live_arcs(net: FlowNetwork) -> list[bool]:
+    """Per input arc: False when no circulation can carry flow on it.
+
+    A node with no in-arc or no out-arc of positive capacity has zero flow
+    through it in every circulation (conservation, nonnegative flows), so its
+    arcs are removed and its neighbours' degrees drop; the peel repeats until
+    every remaining node has both.  Each arc is removed once and each degree
+    reaches 0 once, so a node is stacked at most three times: O(n + m).  The
+    feasible circulations are the same with or without the removed arcs.
+    """
+    arcs = net.arcs
+    live = [a.upper > 0 for a in arcs]
+    out_arcs = [[] for _ in range(net.n_nodes)]
+    in_arcs = [[] for _ in range(net.n_nodes)]
+    for k, a in enumerate(arcs):
+        if live[k]:
+            out_arcs[a.src].append(k)
+            in_arcs[a.dst].append(k)
+    outdeg = [len(ks) for ks in out_arcs]
+    indeg = [len(ks) for ks in in_arcs]
+    stack = [v for v in range(net.n_nodes) if not indeg[v] or not outdeg[v]]
+    while stack:
+        v = stack.pop()
+        for k in out_arcs[v]:
+            if live[k]:
+                live[k] = False
+                w = arcs[k].dst
+                indeg[w] -= 1
+                if not indeg[w]:
+                    stack.append(w)
+        for k in in_arcs[v]:
+            if live[k]:
+                live[k] = False
+                u = arcs[k].src
+                outdeg[u] -= 1
+                if not outdeg[u]:
+                    stack.append(u)
+    return live
+
+
 class _Residual:
-    """Paired-arc residual representation; arc 2k is input arc k."""
+    """Paired-arc residual representation; arc 2k is input arc k.  Only live
+    arcs are listed in adj; the others keep their room and carry nothing."""
 
     def __init__(self, net: FlowNetwork):
         m = len(net.arcs)
         self.n = net.n_nodes
+        self.live = _live_arcs(net)
         self.head = [0] * (2 * m)
         self.cost = [0] * (2 * m)
         self.res = [0] * (2 * m)
@@ -55,8 +104,9 @@ class _Residual:
             self.cost[b] = -a.cost
             self.res[f] = a.upper
             self.res[b] = 0
-            self.adj[a.src].append(f)
-            self.adj[a.dst].append(b)
+            if self.live[k]:
+                self.adj[a.src].append(f)
+                self.adj[a.dst].append(b)
 
     def flows(self, net: FlowNetwork) -> tuple[int, ...]:
         return tuple(net.arcs[k].upper - self.res[2 * k] for k in range(len(net.arcs)))
@@ -67,18 +117,18 @@ def _solution_cost(net: FlowNetwork, flows) -> int:
 
 
 class _Bundles:
-    """Convex arc bundles: the input arcs with upper > 0 that share (src, dst)
-    form one group, its segments sorted by (cost, input index) and stored
-    flat; group g owns residual entries 2g (forward) and 2g+1 (backward),
-    each on segment seg[a] and stepping towards stop[a].  Every group starts
-    empty: both entries on its cheapest segment."""
+    """Convex arc bundles: the live input arcs (see _live_arcs) that share
+    (src, dst) form one group, its segments sorted by (cost, input index) and
+    stored flat; group g owns residual entries 2g (forward) and 2g+1
+    (backward), each on segment seg[a] and stepping towards stop[a].  Every
+    group starts empty: both entries on its cheapest segment."""
 
     def __init__(self, net: FlowNetwork, cost_mult: int):
         arcs = net.arcs
         groups: dict[tuple[int, int], list[int]] = {}
-        for k, a in enumerate(arcs):
-            if a.upper > 0:
-                groups.setdefault((a.src, a.dst), []).append(k)
+        for k, live in enumerate(_live_arcs(net)):
+            if live:
+                groups.setdefault((arcs[k].src, arcs[k].dst), []).append(k)
         self.seg_arc, self.seg_cap, self.seg_cost = [], [], []
         self.head, self.cost, self.res, self.seg, self.stop = [], [], [], [], []
         self.adj = [[] for _ in range(net.n_nodes)]
@@ -99,7 +149,7 @@ class _Bundles:
 
     def flows(self, net: FlowNetwork) -> tuple[int, ...]:
         """Per input arc: segments below a backward entry's are full, its own
-        carries res, the rest (and every zero-capacity arc) carry nothing."""
+        carries res, the rest (and every arc that is not live) carry nothing."""
         flows = [0] * len(net.arcs)
         for b in range(1, len(self.head), 2):
             s = self.seg[b]
@@ -123,9 +173,9 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
     iterations = 0
     update_every = max(1, n // 2)  # relabels between global price updates
 
-    # the smallest eps at which the zero flow at zero prices is eps-optimal
-    eps = mult * max((-a.cost for a in net.arcs if a.upper > 0 and a.cost < 0),
-                     default=0)
+    # the smallest eps at which the zero flow at zero prices is eps-optimal:
+    # each group's forward entry starts on its cheapest segment
+    eps = max((-c for c in cost[::2] if c < 0), default=0)
 
     # Bundles (Ahuja, Hochbaum & Orlin 2003): the parallel arcs of a group
     # are one convex piecewise-linear arc, kept in canonical fill: with
@@ -172,35 +222,50 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
         # d'(u) <= d'(v) + l(u,v), which holds for each residual u->v:
         # both scanned, d is exact; u scanned, d'(u) <= K = d'(v); both
         # unscanned, K <= K + l; v scanned, u not: scanning v set u's key to
-        # at most d(v) + l, and an unscanned key is >= K.
+        # at most d(v) + l, and an unscanned key is >= K.  Lengths are
+        # integers, so the queue is Dial's buckets: a list of nodes per
+        # distance, with a heap of the distinct distances only.  The order
+        # within a bucket changes which nodes at distance K get scanned, but
+        # not d', which is K for all of them.
         dist = [None] * n
-        heap = []
+        buckets = {0: []}
+        keys = [0]
         left = 0
         for v in range(n):
             if excess[v] < 0:
                 dist[v] = 0
-                heap.append((0, v))
+                buckets[0].append(v)
             elif excess[v] > 0:
                 left += 1
         K = 0
         while left:
-            if not heap:
+            if not keys:
                 raise SolverError("excess node with no residual path to a deficit")
-            K, v = heappop(heap)
-            if K > dist[v]:
-                continue  # stale entry
-            if excess[v] > 0:
-                left -= 1
-            pv = p[v]
-            for a in adj[v]:
-                b = a ^ 1  # residual arc u -> v
-                if res[b] > 0:
-                    u = head[a]
-                    nd = K + (cost[b] + p[u] - pv) // eps + 1
-                    du = dist[u]
-                    if du is None or nd < du:
-                        dist[u] = nd
-                        heappush(heap, (nd, u))
+            K = heappop(keys)
+            bucket = buckets[K]  # zero-length arcs append to it while scanned
+            while bucket:
+                v = bucket.pop()
+                if dist[v] != K:
+                    continue  # stale entry: v was reached closer
+                if excess[v] > 0:
+                    left -= 1
+                    if not left:
+                        break
+                pv = p[v]
+                for a in adj[v]:
+                    b = a ^ 1  # residual arc u -> v
+                    if res[b] > 0:
+                        u = head[a]
+                        nd = K + (cost[b] + p[u] - pv) // eps + 1
+                        du = dist[u]
+                        if du is None or nd < du:
+                            dist[u] = nd
+                            if nd in buckets:
+                                buckets[nd].append(u)
+                            else:
+                                buckets[nd] = [u]
+                                heappush(keys, nd)
+            del buckets[K]
         for v in range(n):
             dv = dist[v]
             p[v] -= eps * (K if dv is None or dv > K else dv)
@@ -280,10 +345,10 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
 def ssp_oracle(net: FlowNetwork) -> FlowSolution:
     """Same contract as solve_mcf, by primal-dual successive shortest paths.
 
-    Negative-cost arcs are saturated up front, after which every residual
-    cost is >= 0 and zero potentials are valid.  Each phase runs one
-    Dijkstra over reduced costs from all excess nodes to the nearest
-    deficit, raises the potentials by the distances (capped at that
+    Negative-cost live arcs (see _live_arcs) are saturated up front, after
+    which every residual cost is >= 0 and zero potentials are valid.  Each
+    phase runs one Dijkstra over reduced costs from all excess nodes to the
+    nearest deficit, raises the potentials by the distances (capped at that
     deficit's), and drains excess along every zero-reduced-cost residual
     path it can find (Ahuja, Magnanti & Orlin, Network Flows, 1993, 9.7).
     `iterations` counts augmenting paths.
@@ -293,7 +358,7 @@ def ssp_oracle(net: FlowNetwork) -> FlowSolution:
     res = r.res
     excess = [0] * n
     for k, a in enumerate(net.arcs):
-        if a.cost < 0 and a.upper > 0:
+        if a.cost < 0 and r.live[k]:
             res[2 * k] = 0
             res[2 * k + 1] = a.upper
             excess[a.src] -= a.upper

@@ -6,8 +6,8 @@ import pytest
 
 from retislack import (generate_random, load_curves, render_circuit,
                        solve_mcf, ssp_oracle)
-from retislack.mcf import (FlowSolution, SolverError, _raise_potentials,
-                           _Residual, residual_potentials)
+from retislack.mcf import (FlowSolution, SolverError, _live_arcs,
+                           _raise_potentials, _Residual, residual_potentials)
 from retislack.transform import Arc, FlowNetwork, expand, split_graph
 from retislack.recovery import min_slack_period
 from conftest import curves_for
@@ -263,15 +263,69 @@ def test_oracle_on_nonnegative_costs_pushes_nothing():
 
 
 def test_solver_starts_eps_at_largest_negative_cost_with_room():
-    # an arc of zero capacity is never residual, so however negative its
-    # cost it adds no scaling phase and no relabel
+    # an arc of zero capacity is never residual, and an arc into node 4,
+    # which has no out-arc, lies on no cycle, so no circulation uses either:
+    # however negative their costs, they add no scaling phase, no relabel
+    # and no augmenting path
     arcs = [(0, 1, -5, 3), (1, 2, 1, 10), (2, 0, 2, 10), (2, 3, -2, 4),
             (3, 1, 0, 9)]
-    sol = solve_mcf(net_of(arcs, 4))
-    padded = solve_mcf(net_of(arcs + [(0, 1, -10**12, 0)], 4))
-    assert sol.iterations > 0
-    assert padded.iterations == sol.iterations
-    assert (padded.flows, padded.cost) == (sol.flows + (0,), sol.cost)
+    for solve in (solve_mcf, ssp_oracle):
+        sol = solve(net_of(arcs, 5))
+        assert sol.iterations > 0
+        for extra in ((0, 1, -10**12, 0), (0, 4, -10**12, 7)):
+            padded = solve(net_of(arcs + [extra], 5))
+            assert padded.iterations == sol.iterations
+            assert (padded.flows, padded.cost) == (sol.flows + (0,), sol.cost)
+
+
+def _successors(net):
+    """Per node: the nodes it reaches by one or more positive-capacity arcs."""
+    adj = [[] for _ in range(net.n_nodes)]
+    for a in net.arcs:
+        if a.upper > 0:
+            adj[a.src].append(a.dst)
+    out = []
+    for u in range(net.n_nodes):
+        seen, stack = set(), list(adj[u])
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adj[v])
+        out.append(seen)
+    return out
+
+
+def test_live_arcs_drop_only_arcs_on_no_cycle():
+    # a dropped arc of positive capacity lies on no cycle of positive-capacity
+    # arcs (its dst cannot reach its src), and the peel runs to its end: every
+    # node left with a live arc has a live in-arc and a live out-arc
+    rng = random.Random(1818)
+    nets = [(random_net(n, rng.randint(1, 3 * n), rng), None)
+            for n in (rng.randint(2, 30) for _ in range(60))]
+    for i in range(20):
+        c = generate_random(rng.randint(5, 60), edge_density=2.2, ff_prob=0.4,
+                            seed=1800 + i)
+        curves = curves_for(c)
+        tmin, _ = min_slack_period(c, curves)
+        g = split_graph(c, (13 * tmin + 9) // 10 if i % 2 else tmin, curves)
+        nets.append((expand(g), g.v0))
+    dropped = 0
+    for net, v0 in nets:
+        live = _live_arcs(net)
+        reach = _successors(net)
+        has_in, has_out = set(), set()
+        for a, ok in zip(net.arcs, live):
+            if ok:
+                has_out.add(a.src)
+                has_in.add(a.dst)
+            elif a.upper > 0:
+                assert a.src not in reach[a.dst]
+                dropped += v0 is None
+        assert has_in == has_out
+        if v0 is not None:  # every E1 window arc is dropped
+            assert not any(ok for a, ok in zip(net.arcs, live) if a.src == v0)
+    assert dropped > 0  # the random networks drop arcs of their own too
 
 
 def test_oracle_counts_each_augmenting_path():
