@@ -55,13 +55,14 @@ def _live_arcs(net: FlowNetwork) -> list[bool]:
     feasible circulations are the same with or without the removed arcs.
     """
     arcs = net.arcs
-    live = [a.upper > 0 for a in arcs]
+    live = [False] * len(arcs)
     out_arcs = [[] for _ in range(net.n_nodes)]
     in_arcs = [[] for _ in range(net.n_nodes)]
-    for k, a in enumerate(arcs):
-        if live[k]:
-            out_arcs[a.src].append(k)
-            in_arcs[a.dst].append(k)
+    for k, (src, dst, _, upper) in enumerate(arcs):
+        if upper > 0:
+            live[k] = True
+            out_arcs[src].append(k)
+            in_arcs[dst].append(k)
     outdeg = [len(ks) for ks in out_arcs]
     indeg = [len(ks) for ks in in_arcs]
     stack = [v for v in range(net.n_nodes) if not indeg[v] or not outdeg[v]]
@@ -96,24 +97,23 @@ class _Residual:
         self.cost = [0] * (2 * m)
         self.res = [0] * (2 * m)
         self.adj = [[] for _ in range(net.n_nodes)]
-        for k, a in enumerate(net.arcs):
+        for k, (src, dst, cost, upper) in enumerate(net.arcs):
             f, b = 2 * k, 2 * k + 1
-            self.head[f] = a.dst
-            self.head[b] = a.src
-            self.cost[f] = a.cost
-            self.cost[b] = -a.cost
-            self.res[f] = a.upper
-            self.res[b] = 0
+            self.head[f] = dst
+            self.head[b] = src
+            self.cost[f] = cost
+            self.cost[b] = -cost
+            self.res[f] = upper
             if self.live[k]:
-                self.adj[a.src].append(f)
-                self.adj[a.dst].append(b)
+                self.adj[src].append(f)
+                self.adj[dst].append(b)
 
     def flows(self, net: FlowNetwork) -> tuple[int, ...]:
-        return tuple(net.arcs[k].upper - self.res[2 * k] for k in range(len(net.arcs)))
+        return tuple(upper - x for (_, _, _, upper), x in zip(net.arcs, self.res[::2]))
 
 
 def _solution_cost(net: FlowNetwork, flows) -> int:
-    return sum(a.cost * x for a, x in zip(net.arcs, flows))
+    return sum(a.cost * x for a, x in zip(net.arcs, flows) if x)
 
 
 class _Bundles:
@@ -125,20 +125,21 @@ class _Bundles:
 
     def __init__(self, net: FlowNetwork, cost_mult: int):
         arcs = net.arcs
-        groups: dict[tuple[int, int], list[int]] = {}
+        groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         for k, live in enumerate(_live_arcs(net)):
             if live:
-                groups.setdefault((arcs[k].src, arcs[k].dst), []).append(k)
+                src, dst, cost, upper = arcs[k]
+                groups.setdefault((src, dst), []).append((cost, k, upper))
         self.seg_arc, self.seg_cap, self.seg_cost = [], [], []
         self.head, self.cost, self.res, self.seg, self.stop = [], [], [], [], []
         self.adj = [[] for _ in range(net.n_nodes)]
-        for (src, dst), ks in groups.items():
-            ks.sort(key=lambda k: arcs[k].cost)  # stable: ties keep input order
+        for (src, dst), segs in groups.items():
+            segs.sort()  # by (cost, input index)
             s = len(self.seg_arc)
-            for k in ks:
+            for cost, k, upper in segs:
                 self.seg_arc.append(k)
-                self.seg_cap.append(arcs[k].upper)
-                self.seg_cost.append(arcs[k].cost * cost_mult)
+                self.seg_cap.append(upper)
+                self.seg_cost.append(cost * cost_mult)
             self.adj[src].append(len(self.head))
             self.adj[dst].append(len(self.head) + 1)
             self.head += (dst, src)
@@ -357,12 +358,12 @@ def ssp_oracle(net: FlowNetwork) -> FlowSolution:
     r = _Residual(net)
     res = r.res
     excess = [0] * n
-    for k, a in enumerate(net.arcs):
-        if a.cost < 0 and r.live[k]:
+    for k, (src, dst, cost, upper) in enumerate(net.arcs):
+        if cost < 0 and r.live[k]:
             res[2 * k] = 0
-            res[2 * k + 1] = a.upper
-            excess[a.src] -= a.upper
-            excess[a.dst] += a.upper
+            res[2 * k + 1] = upper
+            excess[src] -= upper
+            excess[dst] += upper
     pi = [0] * n
     iterations = 0
     while any(e > 0 for e in excess):
@@ -482,11 +483,11 @@ def residual_potentials(net: FlowNetwork, sol: FlowSolution, source: int,
     """
     n = net.n_nodes
     adj = [[] for _ in range(n)]
-    for a, x in zip(net.arcs, sol.flows):
-        if x < a.upper:
-            adj[a.src].append((a.dst, a.cost))
+    for (src, dst, cost, upper), x in zip(net.arcs, sol.flows):
+        if x < upper:
+            adj[src].append((dst, cost))
         if x > 0:
-            adj[a.dst].append((a.src, -a.cost))
+            adj[dst].append((src, -cost))
     dist = [None] * n
     inq = [False] * n
     relax = [0] * n

@@ -5,7 +5,8 @@ the power at each.  Power must be nonincreasing and convex in slack: the
 magnitudes of the segment slopes (the breakpoints) are nonincreasing from
 left to right.  Breakpoints are exact rationals.  A curve is shared, never
 copied: every gate that uses the same curve-file entry gets the same object,
-and `transform` divides its breakpoints by each gate's penalty divisor once.
+and `transform` divides its breakpoints by a penalty divisor once per
+distinct curve and penalty divisor.
 """
 from __future__ import annotations
 

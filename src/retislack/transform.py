@@ -22,13 +22,17 @@ carry no flow and keep room, and every gate is reached from it in the
 residual network.
 
 Every fanin edge of gate j carries the same cost up to its shift, so the
-dual graph keeps each gate's slack levels and its slopes divided by kappa_j
-once.  Expansion builds one template per sink gate, one parallel arc per
-usable curve level: the level's slack offset and its capacity, the slope
-drop between consecutive breakpoints scaled by D to an integer; a level
-whose slope drop is zero gives no arc.  Each circuit edge emits its sink's
-template at arc cost -(lower_j - T*w + offset).  The result is a pure
-circulation instance with all lower bounds zero and no zero-capacity arc.
+dual graph keeps each gate's slack levels and its slopes divided by kappa_j,
+computed once per distinct curve and penalty divisor: gates with an equal
+pair share one levels tuple and one slopes tuple.  Expansion builds one
+template per shared pair of tuples, so again once per distinct curve and
+penalty divisor: one parallel arc per usable curve level, at the level's
+slack offset, its capacity the slope drop between consecutive breakpoints
+scaled by D to an integer; a level whose slope drop is zero gives no arc.
+Each circuit edge emits its sink's template at arc cost
+-(lower_j - T*w + offset).  The result is a pure circulation instance with
+all lower bounds zero and no zero-capacity arc; each arc is an `Arc`
+named tuple (src, dst, cost, upper).
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .circuit import Circuit
 from .power import PowerSlackCurve, breakpoints
@@ -88,17 +93,23 @@ def split_graph(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
         if lo > T:
             raise TransformError(
                 f"gate {c.gates[i].name}: delay plus minimum slack {lo} exceeds period {T}")
-    slopes = []
+    # gates with an equal curve and penalty divisor share one levels tuple
+    # and one slopes tuple, which lets expand build their template once
+    shared: dict[tuple[PowerSlackCurve, int], tuple] = {}
+    per_gate = []
     for j, cur in enumerate(cs):
         kappa = penalty_divisor(c, j)
-        slopes.append(tuple(b / kappa for b in breakpoints(cur)))
+        pair = shared.get((cur, kappa))
+        if pair is None:
+            pair = shared[cur, kappa] = (cur.slacks,
+                                         tuple(b / kappa for b in breakpoints(cur)))
+        per_gate.append(pair)
     return DualGraph(c, T, n_ff * T, lower,
                      tuple(d + cur.slacks[-1] for d, cur in zip(c.delays, cs)),
-                     tuple(cur.slacks for cur in cs), tuple(slopes))
+                     tuple(lv for lv, _ in per_gate), tuple(bs for _, bs in per_gate))
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     src: int
     dst: int
     cost: int
@@ -112,9 +123,13 @@ class FlowNetwork:
     scale: int = 1  # capacity scale D
 
     def __post_init__(self):
+        n = self.n_nodes
         for a in self.arcs:
-            if a.upper < 0:
+            src, dst, _, upper = a
+            if upper < 0:
                 raise TransformError(f"arc {a}: negative capacity")
+            if not (0 <= src < n and 0 <= dst < n):
+                raise TransformError(f"arc {a}: endpoint outside nodes 0..{n - 1}")
 
 
 def _template(slacks: tuple[int, ...], bs: tuple[Fraction, ...], scale: int,
@@ -141,20 +156,30 @@ def expand(g: DualGraph) -> FlowNetwork:
     """Expand the dual graph into an integer min-cost circulation network."""
     c, T = g.circuit, g.period
     fanins = Counter(e.dst for e in c.edges)
-    if any(b < 0 for j in fanins for b in g.slopes[j]):
+    # sink gates whose levels and slopes are the same tuple objects, as
+    # split_graph makes them per distinct curve and penalty divisor, share
+    # one template
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j in fanins:
+        groups.setdefault((id(g.slacks[j]), id(g.slopes[j])), []).append(j)
+    if any(b < 0 for js in groups.values() for b in g.slopes[js[0]]):
         raise TransformError("negative capacity slope on an E2 arc")
     scale = 1
     total_b = Fraction(0)
-    for j, count in fanins.items():
-        for b in g.slopes[j]:
+    for js in groups.values():
+        bs = g.slopes[js[0]]
+        for b in bs:
             scale = math.lcm(scale, b.denominator)
-        total_b += count * sum(g.slopes[j])
+        total_b += sum(fanins[j] for j in js) * sum(bs)
     big = (1 + math.ceil(total_b)) * scale
-    templates = {j: _template(g.slacks[j], g.slopes[j], scale, big) for j in fanins}
+    templates = {}
+    for js in groups.values():
+        t = _template(g.slacks[js[0]], g.slopes[js[0]], scale, big)
+        templates.update((j, t) for j in js)
 
     arcs = [Arc(g.v0, i, -lo, big) for i, lo in enumerate(g.lower)]  # E1
     for e in c.edges:  # E2
         shift = g.lower[e.dst] - T * e.w
-        for off, cap in templates[e.dst]:
-            arcs.append(Arc(e.src, e.dst, -(shift + off), cap))
+        arcs += [Arc(e.src, e.dst, -(shift + off), cap)
+                 for off, cap in templates[e.dst]]
     return FlowNetwork(g.n_nodes, tuple(arcs), scale)

@@ -1,4 +1,5 @@
 """Dual-graph construction and expansion into a circulation network."""
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -6,10 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import (breakpoints, expand, generate_random, make_curve,
-                       parse_circuit, split_graph)
-from retislack.transform import Arc, FlowNetwork, TransformError, penalty_divisor
-from conftest import curves_for, one_edge_graph
+from retislack import (Circuit, Edge, breakpoints, expand, generate_random,
+                       make_curve, parse_circuit, split_graph)
+from retislack.mcf import solve_mcf
+from retislack.transform import (Arc, FlowNetwork, TransformError, _template,
+                                 penalty_divisor)
+from conftest import CURVE3_PAIRS, CURVE4_PAIRS, curves_for, one_edge_graph
+from test_mcf import _mixed_curve
 
 
 def _big(g, net):
@@ -210,6 +214,15 @@ def test_expand_pure_circulation(ring3):
         FlowNetwork(2, (Arc(0, 1, 0, -1),))
 
 
+@pytest.mark.parametrize("arc", [Arc(1, -1, -1, 1), Arc(1, 2, -1, 1)],
+                         ids=["negative", "past_last_node"])
+def test_flow_network_rejects_endpoint_outside_nodes(arc):
+    # a negative endpoint would index the last node from the end, so the
+    # solver would read arc 1 as a self-loop and return cost -1
+    with pytest.raises(TransformError, match="endpoint outside nodes 0..1"):
+        solve_mcf(FlowNetwork(2, (Arc(0, 1, -1, 1), arc)))
+
+
 def test_expand_ring3_network(ring3):
     # the whole network, in order: E1 per gate (v0 = 3 -> i), then E2 per
     # circuit edge, highest level first
@@ -237,3 +250,99 @@ def test_expand_rejects_negative_capacity():
     with pytest.raises(TransformError, match="negative capacity slope"):
         expand(one_edge_graph((0, 10), (Fraction(-1, 2),)))
 
+
+def _per_gate_network(c, T, lower, slacks, slopes):
+    """Reference expansion, one template per sink gate and plain tuples:
+    (n_nodes, scale, [(src, dst, cost, upper), ...])."""
+    fanins = Counter(e.dst for e in c.edges)
+    scale = 1
+    total_b = Fraction(0)
+    for j, count in fanins.items():
+        for b in slopes[j]:
+            scale = math.lcm(scale, b.denominator)
+        total_b += count * sum(slopes[j])
+    big = (1 + math.ceil(total_b)) * scale
+    templates = {j: _template(slacks[j], slopes[j], scale, big) for j in fanins}
+    arcs = [(c.n, i, -lo, big) for i, lo in enumerate(lower)]
+    for e in c.edges:
+        shift = lower[e.dst] - T * e.w
+        arcs += [(e.src, e.dst, -(shift + off), cap) for off, cap in templates[e.dst]]
+    return c.n + 1, scale, arcs
+
+
+def _assert_expands_like_per_gate_reference(c, T, curves):
+    g = split_graph(c, T, curves)
+    net = expand(g)
+    slopes = [tuple(b / penalty_divisor(c, j) for b in breakpoints(curves[j]))
+              for j in range(c.n)]
+    lower = [d + curves[j].slacks[0] for j, d in enumerate(c.delays)]
+    assert list(g.slopes) == slopes
+    assert (net.n_nodes, net.scale, list(net.arcs)) == _per_gate_network(
+        c, T, lower, [curves[j].slacks for j in range(c.n)], slopes)
+    # gates with an equal curve and penalty divisor share the tuples that
+    # expand groups by, so their template is built once
+    first = {}
+    for j in range(c.n):
+        k = first.setdefault((curves[j], penalty_divisor(c, j)), j)
+        assert g.slacks[j] is g.slacks[k] and g.slopes[j] is g.slopes[k]
+    # unshared tuples, as a hand-built graph may have, give the same network
+    copied = dataclasses.replace(g, slacks=tuple(tuple(list(s)) for s in g.slacks),
+                                 slopes=tuple(tuple(list(s)) for s in g.slopes))
+    assert expand(copied) == net
+    return g
+
+
+PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83)
+
+
+def _with_self_loops(c, rng):
+    loops = tuple(Edge(i, i, rng.randint(1, 2))
+                  for i in rng.sample(range(c.n), min(c.n, rng.randint(1, 3))))
+    return Circuit(c.gates, c.edges + loops)
+
+
+def test_expand_matches_per_gate_reference():
+    rng = random.Random(19)
+    shared = 0
+    for seed in range(30):
+        c = generate_random(rng.randint(2, 60), edge_density=rng.uniform(1.2, 2.4),
+                            ff_prob=0.4, seed=seed)
+        if seed % 3 == 0:
+            c = _with_self_loops(c, rng)
+        kind = seed % 5
+        if kind == 0:  # one shared curve object
+            curves = curves_for(c)
+        elif kind == 1:  # per-gate 1-7-level curves, no two objects alike
+            curves = {j: make_curve(_mixed_curve(rng)) for j in range(c.n)}
+        elif kind == 2:  # a few mixed curves, as shared objects and as equal copies
+            pool = [_mixed_curve(rng) for _ in range(3)]
+            objs = [make_curve(pairs) for pairs in pool]
+            curves = {j: rng.choice(objs) if rng.random() < 0.5
+                      else make_curve(rng.choice(pool)) for j in range(c.n)}
+        elif kind == 3:  # slopes 1000/p: the scale is a product of primes
+            curves = {j: make_curve([(0, 1000), (rng.choice(PRIMES), 0)])
+                      for j in range(c.n)}
+        else:
+            cur3, cur4 = make_curve(CURVE3_PAIRS), make_curve(CURVE4_PAIRS)
+            curves = {j: rng.choice((cur3, cur4)) for j in range(c.n)}
+        T = max(d + curves[j].slacks[0] for j, d in enumerate(c.delays)) + rng.randint(0, 9)
+        g = _assert_expands_like_per_gate_reference(c, T, curves)
+        shared += c.n - len({id(s) for s in g.slopes})
+    assert shared > 500  # the sharing the template grouping rests on
+    # the 20-gate prime ring of the command-line test: no two gates share
+    ring = parse_circuit("".join(f"gate g{i} 3\n" for i in range(20)) +
+                         "".join(f"edge g{i} g{(i + 1) % 20} {int(i % 3 == 2)}\n"
+                                 for i in range(20)))
+    curves = {j: make_curve([(0, 1000), (p, 0)]) for j, p in enumerate(PRIMES)}
+    g = _assert_expands_like_per_gate_reference(ring, 12, curves)
+    assert expand(g).scale == math.prod(PRIMES)
+
+
+@pytest.mark.parametrize("pairs", [CURVE4_PAIRS, CURVE3_PAIRS, [(0, 5)],
+                                   [(0, 50), (4, 42), (8, 34), (12, 30)]])
+def test_expand_one_edge_graph_matches_per_gate_reference(pairs):
+    cur = make_curve(pairs)
+    g = one_edge_graph(cur.slacks, breakpoints(cur), shift=3)
+    net = expand(g)
+    assert (net.n_nodes, net.scale, list(net.arcs)) == _per_gate_network(
+        g.circuit, g.period, g.lower, g.slacks, g.slopes)
