@@ -143,7 +143,11 @@ def _gap(got, best) -> Fraction:
 def cmd_bench(args) -> int:
     cases = []
     if args.dir:
-        for fn in sorted(os.listdir(args.dir)):
+        try:
+            names = sorted(os.listdir(args.dir))
+        except OSError as e:
+            raise CircuitError(f"cannot read {args.dir}: {e}") from None
+        for fn in names:
             if fn.endswith(".ckt"):
                 cases.append((fn[:-4], _load_circuit(os.path.join(args.dir, fn))))
     else:

@@ -71,14 +71,14 @@ def _live_arcs(net: FlowNetwork) -> list[bool]:
         for k in out_arcs[v]:
             if live[k]:
                 live[k] = False
-                w = arcs[k].dst
+                w = arcs[k][1]
                 indeg[w] -= 1
                 if not indeg[w]:
                     stack.append(w)
         for k in in_arcs[v]:
             if live[k]:
                 live[k] = False
-                u = arcs[k].src
+                u = arcs[k][0]
                 outdeg[u] -= 1
                 if not outdeg[u]:
                     stack.append(u)
@@ -113,7 +113,7 @@ class _Residual:
 
 
 def _solution_cost(net: FlowNetwork, flows) -> int:
-    return sum(a.cost * x for a, x in zip(net.arcs, flows) if x)
+    return sum(cost * x for (_, _, cost, _), x in zip(net.arcs, flows) if x)
 
 
 class _Bundles:
@@ -508,4 +508,6 @@ def residual_potentials(net: FlowNetwork, sol: FlowSolution, source: int,
                         raise SolverError("negative cycle in residual network")
                     inq[v] = True
                     q.append(v)
+    # v0 reaches every node of an expanded network; sentinel stays only
+    # because the traced replay passes it
     return tuple(sentinel if d is None else d for d in dist)

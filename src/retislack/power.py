@@ -3,10 +3,10 @@
 A curve is two tuples of integers: strictly increasing slack levels and
 the power at each.  Power must be nonincreasing and convex in slack: the
 magnitudes of the segment slopes (the breakpoints) are nonincreasing from
-left to right.  Breakpoints are exact rationals.  A curve is shared, never
-copied: every gate that uses the same curve-file entry gets the same object,
-and `transform` divides its breakpoints by a penalty divisor once per
-distinct curve and penalty divisor.
+left to right.  Breakpoints are exact rationals.  Every gate that uses the
+same curve-file entry gets the same object.  Curves compare and hash by
+value, and `transform` expands each distinct curve and penalty divisor
+once, so equal curves from separate entries are expanded once too.
 """
 from __future__ import annotations
 
@@ -72,7 +72,8 @@ def load_curves(text: str, c: Circuit) -> dict[int, PowerSlackCurve]:
     """Resolve a JSON curve file against a circuit.
 
     The document maps gate names to arrays of [slack, power] integer pairs;
-    the "default" entry applies to gates without an explicit one.
+    the "default" entry applies to gates without an explicit one.  Any other
+    entry must name a gate of the circuit.
     """
     try:
         doc = json.loads(text)
@@ -93,4 +94,8 @@ def load_curves(text: str, c: Circuit) -> dict[int, PowerSlackCurve]:
         if cur is None:
             raise CurveError(f"no curve for gate {g.name} and no default")
         out[g.id] = cur
+    names = {g.name for g in c.gates}
+    for name in parsed:
+        if name != "default" and name not in names:
+            raise CurveError(f"curve file names unknown gate {name!r}")
     return out

@@ -1,11 +1,13 @@
 """Dual graph and its expansion into a min-cost circulation.
 
-The dual graph is the circuit at period T plus per-gate data.  Every gate i
-is one node i carrying its scaled arrival variable; one reference node
-v0 = n is the common tail of the slack windows and anchors the potentials.
-There are no retiming-label nodes or label-legality edges: the retiming
-comes from retime.feasible_retiming, not from the flow.  `expand` emits two
-arc classes, those of the convex-cost dual flow of Ahuja, Hochbaum & Orlin
+The dual graph is the circuit at period T plus what the paper attaches to
+each gate: its slack window, its power-slack curve and its penalty divisor
+kappa, the number of its zero-FF fanin edges (at least 1).  Every gate i is
+one node i carrying its scaled arrival variable; one reference node v0 = n
+is the common tail of the slack windows and anchors the potentials.  There
+are no retiming-label nodes or label-legality edges: the retiming comes
+from retime.feasible_retiming, not from the flow.  `expand` emits two arc
+classes, those of the convex-cost dual flow of Ahuja, Hochbaum & Orlin
 (Management Science 2003), straight from the circuit:
 
   E1  n -> i           per gate: the gate's slack window [lower_i, upper_i],
@@ -14,33 +16,29 @@ arc classes, those of the convex-cost dual flow of Ahuja, Hochbaum & Orlin
                        never rise, so the flattened (Q-transformed) cost the
                        paper puts here is a constant
   E2  i -> j           per circuit edge: arrival propagation, cost = the
-                       sink gate's curve divided by its penalty divisor
-                       kappa_j, its window shifted by -T*w
+                       sink gate's curve divided by kappa_j, its window
+                       shifted by -T*w
 
 The reference node has only out-arcs, so in every circulation its E1 arcs
 carry no flow and keep room, and every gate is reached from it in the
 residual network.
 
-Every fanin edge of gate j carries the same cost up to its shift, so the
-dual graph keeps each gate's slack levels and its slopes divided by kappa_j,
-computed once per distinct curve and penalty divisor: gates with an equal
-pair share one levels tuple and one slopes tuple.  Expansion builds one
-template per shared pair of tuples, so again once per distinct curve and
-penalty divisor: one parallel arc per usable curve level, at the level's
-slack offset, its capacity the slope drop between consecutive breakpoints
-scaled by D to an integer; a level whose slope drop is zero gives no arc.
-Each circuit edge emits its sink's template at arc cost
--(lower_j - T*w + offset).  The result is a pure circulation instance with
-all lower bounds zero and no zero-capacity arc; each arc is an `Arc`
-named tuple (src, dst, cost, upper).
+Every fanin edge of gate j carries the same cost up to its shift, and so
+does every fanin edge of a gate with an equal curve and kappa.  `expand`
+groups the sink gates by the value (curve, kappa) and builds one template
+per group: one parallel arc per usable curve level, at the level's slack
+offset, its capacity the drop between consecutive breakpoints over kappa,
+scaled by D to an integer; a level whose drop is zero gives no arc.  Each
+circuit edge emits its sink's template at arc cost -(lower_j - T*w +
+offset).  The result is a pure circulation instance with all lower bounds
+zero and no zero-capacity arc; each arc is a plain tuple
+(src, dst, cost, upper).
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple
 
 from .circuit import Circuit
 from .power import PowerSlackCurve, breakpoints
@@ -55,11 +53,11 @@ class TransformError(ValueError):
 class DualGraph:
     circuit: Circuit
     period: int
-    nff_bar: int  # N_ff * T
+    nff_bar: int  # N_ff * T; kept only because the traced replay reads it
     lower: tuple[int, ...]  # per gate: delay + first slack
     upper: tuple[int, ...]  # per gate: delay + last slack
-    slacks: tuple[tuple[int, ...], ...]  # per gate: its curve's slack levels
-    slopes: tuple[tuple[Fraction, ...], ...]  # per gate: breakpoints / kappa
+    curves: tuple[PowerSlackCurve, ...]  # per gate: its power-slack curve
+    kappa: tuple[int, ...]  # per gate: zero-FF fanin edges, at least 1
 
     @property
     def n_gates(self) -> int:
@@ -74,52 +72,33 @@ class DualGraph:
         return self.circuit.n
 
 
-def penalty_divisor(c: Circuit, j: int) -> int:
-    """Number of zero-FF fanin edges of gate j, clamped to at least 1."""
-    k = sum(1 for e in c.fanin[j] if c.edges[e].w == 0)
-    return max(1, k)
-
-
 def split_graph(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
                 n_ff: int | None = None) -> DualGraph:
     """Build the dual graph for circuit c at period T."""
+    # n_ff is kept only because the traced replay passes it
     if n_ff is None:
         n_ff = max(1, c.total_ffs)
     if n_ff < 1:
         raise ValueError("n_ff must be >= 1")
-    cs = [curves[j] for j in range(c.n)]
+    cs = tuple(curves[j] for j in range(c.n))
     lower = tuple(d + cur.slacks[0] for d, cur in zip(c.delays, cs))
     for i, lo in enumerate(lower):
         if lo > T:
             raise TransformError(
                 f"gate {c.gates[i].name}: delay plus minimum slack {lo} exceeds period {T}")
-    # gates with an equal curve and penalty divisor share one levels tuple
-    # and one slopes tuple, which lets expand build their template once
-    shared: dict[tuple[PowerSlackCurve, int], tuple] = {}
-    per_gate = []
-    for j, cur in enumerate(cs):
-        kappa = penalty_divisor(c, j)
-        pair = shared.get((cur, kappa))
-        if pair is None:
-            pair = shared[cur, kappa] = (cur.slacks,
-                                         tuple(b / kappa for b in breakpoints(cur)))
-        per_gate.append(pair)
+    kappa = [0] * c.n
+    for e in c.edges:
+        if not e.w:
+            kappa[e.dst] += 1
     return DualGraph(c, T, n_ff * T, lower,
                      tuple(d + cur.slacks[-1] for d, cur in zip(c.delays, cs)),
-                     tuple(lv for lv, _ in per_gate), tuple(bs for _, bs in per_gate))
-
-
-class Arc(NamedTuple):
-    src: int
-    dst: int
-    cost: int
-    upper: int
+                     cs, tuple(k or 1 for k in kappa))
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
     n_nodes: int
-    arcs: tuple[Arc, ...]
+    arcs: tuple[tuple[int, int, int, int], ...]  # (src, dst, cost, upper)
     scale: int = 1  # capacity scale D
 
     def __post_init__(self):
@@ -132,54 +111,44 @@ class FlowNetwork:
                 raise TransformError(f"arc {a}: endpoint outside nodes 0..{n - 1}")
 
 
-def _template(slacks: tuple[int, ...], bs: tuple[Fraction, ...], scale: int,
+def _template(slacks: tuple[int, ...], scaled: list[int],
               big: int) -> list[tuple[int, int]]:
     """(slack offset, capacity) of each arc of a costed edge into a gate with
-    these levels and slopes, highest level first."""
-    L = len(slacks)
-    out = []
-    for q in range(L - 1, -1, -1):
-        if q == 0:
-            cap = big - (bs[0] * scale if bs else 0)
-        else:
-            b_next = bs[q] if q < L - 1 else 0  # bs[q - 1] is b(q+1), 1-based
-            cap = (bs[q - 1] - b_next) * scale
-        if cap < 0:
-            raise TransformError("negative capacity (non-convex curve leaked through)")
-        assert cap.denominator == 1, "capacity scale does not clear slopes"
-        if cap:
-            out.append((slacks[q] - slacks[0], int(cap)))
-    return out
+    these levels and slopes times D, highest level first."""
+    drops = [big] + scaled + [0]  # big, then b(2)..b(L) times D, then 0
+    caps = [drops[q] - drops[q + 1] for q in range(len(slacks))]
+    if min(caps) < 0:
+        raise TransformError("negative capacity (non-convex curve leaked through)")
+    return [(slacks[q] - slacks[0], caps[q])
+            for q in range(len(slacks) - 1, -1, -1) if caps[q]]
 
 
 def expand(g: DualGraph) -> FlowNetwork:
     """Expand the dual graph into an integer min-cost circulation network."""
-    c, T = g.circuit, g.period
+    c, T, lower = g.circuit, g.period, g.lower
     fanins = Counter(e.dst for e in c.edges)
-    # sink gates whose levels and slopes are the same tuple objects, as
-    # split_graph makes them per distinct curve and penalty divisor, share
-    # one template
-    groups: dict[tuple[int, int], list[int]] = {}
+    # sink gates with an equal curve and kappa share one template
+    groups: dict[tuple[PowerSlackCurve, int], list[int]] = {}
     for j in fanins:
-        groups.setdefault((id(g.slacks[j]), id(g.slopes[j])), []).append(j)
-    if any(b < 0 for js in groups.values() for b in g.slopes[js[0]]):
+        groups.setdefault((g.curves[j], g.kappa[j]), []).append(j)
+    slopes = [[b / kappa for b in breakpoints(cur)] for cur, kappa in groups]
+    scale = math.lcm(1, *(b.denominator for bs in slopes for b in bs))
+    scaled = [[b.numerator * (scale // b.denominator) for b in bs] for bs in slopes]
+    if any(x < 0 for xs in scaled for x in xs):
         raise TransformError("negative capacity slope on an E2 arc")
-    scale = 1
-    total_b = Fraction(0)
-    for js in groups.values():
-        bs = g.slopes[js[0]]
-        for b in bs:
-            scale = math.lcm(scale, b.denominator)
-        total_b += sum(fanins[j] for j in js) * sum(bs)
-    big = (1 + math.ceil(total_b)) * scale
+    total = sum(sum(fanins[j] for j in js) * sum(xs)
+                for js, xs in zip(groups.values(), scaled))
+    # (1 + ceil(total / D)) * D: more than any E2 edge can carry
+    big = (1 - -total // scale) * scale
     templates = {}
-    for js in groups.values():
-        t = _template(g.slacks[js[0]], g.slopes[js[0]], scale, big)
+    for ((cur, _), js), xs in zip(groups.items(), scaled):
+        t = _template(cur.slacks, xs, big)
         templates.update((j, t) for j in js)
 
-    arcs = [Arc(g.v0, i, -lo, big) for i, lo in enumerate(g.lower)]  # E1
+    v0 = g.v0
+    arcs = [(v0, i, -lo, big) for i, lo in enumerate(lower)]  # E1
     for e in c.edges:  # E2
-        shift = g.lower[e.dst] - T * e.w
-        arcs += [Arc(e.src, e.dst, -(shift + off), cap)
-                 for off, cap in templates[e.dst]]
+        src, dst = e.src, e.dst
+        shift = lower[dst] - T * e.w
+        arcs += [(src, dst, -(shift + off), cap) for off, cap in templates[dst]]
     return FlowNetwork(g.n_nodes, tuple(arcs), scale)

@@ -35,12 +35,12 @@ def curves_for(c, pairs=None):
     return {g.id: cur for g in c.gates}
 
 
-def one_edge_graph(slacks, slopes, shift=0):
+def one_edge_graph(curve, kappa=1, shift=0):
     """Dual graph of a lone gate whose self-loop (one FF, period 10) is the
-    one costed edge: the given levels and slopes, its window
-    [slacks[0], slacks[-1]] moved by shift (> -10)."""
+    one costed edge: the given curve and penalty divisor, its window
+    [first slack, last slack] moved by shift (> -10)."""
     T = 10
-    lo = shift + T + slacks[0]  # gate delay shift + T plus the first slack
+    s = curve.slacks
+    lo = shift + T + s[0]  # gate delay shift + T plus the first slack
     c = parse_circuit(f"gate g {shift + T}\nedge g g 1\n")
-    return DualGraph(c, T, T, (lo,), (lo + slacks[-1] - slacks[0],),
-                     (tuple(slacks),), (tuple(slopes),))
+    return DualGraph(c, T, T, (lo,), (lo + s[-1] - s[0],), (curve,), (kappa,))

@@ -8,9 +8,8 @@ import random
 import time
 from fractions import Fraction
 
-from retislack import (breakpoints, brute_force, generate_random, make_curve,
-                       parse_circuit, render_circuit, run_pipeline, solve_mcf,
-                       ssp_oracle)
+from retislack import (brute_force, generate_random, make_curve, parse_circuit,
+                       render_circuit, run_pipeline, solve_mcf, ssp_oracle)
 from retislack.cli import main
 from retislack.recovery import min_slack_period
 from retislack.retime import min_period
@@ -124,18 +123,18 @@ def _expanded_cost_matches_direct_minimum(curve, kappa, shift):
     the curve divided by kappa with its slack axis moved by shift."""
     s = [x + shift for x in curve.slacks]
     p = [Fraction(x, kappa) for x in curve.powers]
-    g = one_edge_graph(curve.slacks,
-                       tuple(b / kappa for b in breakpoints(curve)), shift)
+    g = one_edge_graph(curve, kappa, shift)
     net = expand(g)
     D = net.scale
-    arcs = [a for a in net.arcs if (a.src, a.dst) == (0, 0)]  # the self-loop
-    saturation = sum(a.upper for a in arcs[:-1])
+    # the self-loop's (cost, upper) pairs
+    arcs = [(cost, upper) for src, dst, cost, upper in net.arcs if (src, dst) == (0, 0)]
+    saturation = sum(upper for _, upper in arcs[:-1])
     for X in range(saturation + 5):
         rem = X
         cost = 0
-        for a in arcs:  # already ordered cheapest first
-            take = min(rem, a.upper)
-            cost += take * a.cost
+        for arc_cost, upper in arcs:  # already ordered cheapest first
+            take = min(rem, upper)
+            cost += take * arc_cost
             rem -= take
         assert rem == 0
         h = min(p[q] + s[q] * Fraction(X, D) for q in range(len(s)))

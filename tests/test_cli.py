@@ -2,6 +2,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from retislack.cli import main
 from conftest import RING3_TEXT
 
@@ -201,6 +203,16 @@ def test_bench_zero_optimum_power(tmp_path, capsys):
     assert lines[1].startswith("ring3,3,3,") and ",0,0," in lines[1]
     assert lines[-1].startswith("Diff,")
     assert len(lines) == 1 + 1 + 2  # header, one case, Avg + Diff footers
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_bench_unreadable_dir_is_input_error(tmp_path, capsys, kind):
+    # a missing directory, or a path that is a file, is one error line
+    path = (str(tmp_path / "missing") if kind == "missing"
+            else write(tmp_path, "ring3.ckt", RING3_TEXT))
+    assert main(["bench", "--dir", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {path}: ")
 
 
 def test_bench_csv_unwritable_path_is_input_error(tmp_path, capsys):

@@ -8,7 +8,7 @@ from retislack import (generate_random, load_curves, render_circuit,
                        solve_mcf, ssp_oracle)
 from retislack.mcf import (FlowSolution, SolverError, _live_arcs,
                            _raise_potentials, _Residual, residual_potentials)
-from retislack.transform import Arc, FlowNetwork, expand, split_graph
+from retislack.transform import FlowNetwork, expand, split_graph
 from retislack.recovery import min_slack_period
 from conftest import curves_for
 
@@ -17,10 +17,11 @@ def verify_circulation(net, sol):
     """Raise unless the solution is a capacity-feasible, conserved flow."""
     node_bal = [0] * net.n_nodes
     for a, x in zip(net.arcs, sol.flows):
-        if not (0 <= x <= a.upper):
+        src, dst, _, upper = a
+        if not (0 <= x <= upper):
             raise SolverError(f"flow {x} outside bounds on arc {a}")
-        node_bal[a.src] -= x
-        node_bal[a.dst] += x
+        node_bal[src] -= x
+        node_bal[dst] += x
     if any(node_bal):
         raise SolverError("flow conservation violated")
 
@@ -31,11 +32,11 @@ def verify_optimal(net, sol):
     node, O(n*m))."""
     verify_circulation(net, sol)
     residual = []
-    for a, x in zip(net.arcs, sol.flows):
-        if x < a.upper:
-            residual.append((a.src, a.dst, a.cost))
+    for (src, dst, cost, upper), x in zip(net.arcs, sol.flows):
+        if x < upper:
+            residual.append((src, dst, cost))
         if x > 0:
-            residual.append((a.dst, a.src, -a.cost))
+            residual.append((dst, src, -cost))
     dist = [0] * net.n_nodes
     for _ in range(net.n_nodes + 1):
         changed = False
@@ -49,8 +50,7 @@ def verify_optimal(net, sol):
 
 
 def net_of(arc_tuples, n):
-    return FlowNetwork(n, tuple(Arc(s, d, c, u)
-                                for s, d, c, u in arc_tuples))
+    return FlowNetwork(n, tuple(arc_tuples))
 
 
 def random_net(n, m, rng, cost_range=1000, cap_range=50):
@@ -135,14 +135,13 @@ def test_residual_potentials_reduced_cost_property():
         marker = 10**9  # flags nodes the search never reaches
         dist = residual_potentials(net, sol, 0, sentinel=marker)
         reach = [d != marker for d in dist]
-        for k, a in enumerate(net.arcs):
-            if not (reach[a.src] and reach[a.dst]):
+        for (src, dst, cost, upper), x in zip(net.arcs, sol.flows):
+            if not (reach[src] and reach[dst]):
                 continue
-            x = sol.flows[k]
-            if x < a.upper:  # forward residual arc
-                assert dist[a.dst] <= dist[a.src] + a.cost
+            if x < upper:  # forward residual arc
+                assert dist[dst] <= dist[src] + cost
             if x > 0:  # reverse residual arc
-                assert dist[a.src] <= dist[a.dst] - a.cost
+                assert dist[src] <= dist[dst] - cost
 
 
 def test_unreachable_node_gets_sentinel():
@@ -176,20 +175,19 @@ def test_residual_potentials_raise_on_a_pipeline_flow_moved_off_optimum():
     sol = solve_mcf(net)
     # the optimum passes, and its distances price every residual arc >= 0
     dist = residual_potentials(net, sol, g.v0, sentinel=g.nff_bar)
-    for a, x in zip(net.arcs, sol.flows):
-        if x < a.upper:
-            assert dist[a.dst] <= dist[a.src] + a.cost
+    for (src, dst, cost, upper), x in zip(net.arcs, sol.flows):
+        if x < upper:
+            assert dist[dst] <= dist[src] + cost
         if x > 0:
-            assert dist[a.src] <= dist[a.dst] - a.cost
+            assert dist[src] <= dist[dst] - cost
     # the first cheaper arc with flow whose costlier parallel arc has room
     arcs, flows = net.arcs, list(sol.flows)
-    lo, hi = next((i, k) for i, a in enumerate(arcs) if flows[i] > 0
-                  for k, b in enumerate(arcs)
-                  if (b.src, b.dst) == (a.src, a.dst) and b.cost > a.cost
-                  and flows[k] < b.upper)
+    lo, hi = next((i, k) for i, (src, dst, cost, _) in enumerate(arcs) if flows[i] > 0
+                  for k, (src2, dst2, cost2, upper2) in enumerate(arcs)
+                  if (src2, dst2) == (src, dst) and cost2 > cost and flows[k] < upper2)
     flows[lo] -= 1
     flows[hi] += 1
-    bad = FlowSolution(tuple(flows), sol.cost + arcs[hi].cost - arcs[lo].cost, 0)
+    bad = FlowSolution(tuple(flows), sol.cost + arcs[hi][2] - arcs[lo][2], 0)
     verify_circulation(net, bad)
     with pytest.raises(SolverError, match="negative cycle"):
         residual_potentials(net, bad, g.v0, sentinel=g.nff_bar)
@@ -281,9 +279,9 @@ def test_solver_starts_eps_at_largest_negative_cost_with_room():
 def _successors(net):
     """Per node: the nodes it reaches by one or more positive-capacity arcs."""
     adj = [[] for _ in range(net.n_nodes)]
-    for a in net.arcs:
-        if a.upper > 0:
-            adj[a.src].append(a.dst)
+    for src, dst, _, upper in net.arcs:
+        if upper > 0:
+            adj[src].append(dst)
     out = []
     for u in range(net.n_nodes):
         seen, stack = set(), list(adj[u])
@@ -315,16 +313,16 @@ def test_live_arcs_drop_only_arcs_on_no_cycle():
         live = _live_arcs(net)
         reach = _successors(net)
         has_in, has_out = set(), set()
-        for a, ok in zip(net.arcs, live):
+        for (src, dst, _, upper), ok in zip(net.arcs, live):
             if ok:
-                has_out.add(a.src)
-                has_in.add(a.dst)
-            elif a.upper > 0:
-                assert a.src not in reach[a.dst]
+                has_out.add(src)
+                has_in.add(dst)
+            elif upper > 0:
+                assert src not in reach[dst]
                 dropped += v0 is None
         assert has_in == has_out
         if v0 is not None:  # every E1 window arc is dropped
-            assert not any(ok for a, ok in zip(net.arcs, live) if a.src == v0)
+            assert not any(ok for (src, *_), ok in zip(net.arcs, live) if src == v0)
     assert dropped > 0  # the random networks drop arcs of their own too
 
 
@@ -400,10 +398,10 @@ def test_reference_node_anchors_pipeline_flows(ring3):
                 g = split_graph(c, T, curves)
                 net = expand(g)
                 assert g.v0 == g.n_gates and net.n_nodes == g.n_gates + 1
-                assert all(a.dst != g.v0 for a in net.arcs)
+                assert all(dst != g.v0 for _, dst, _, _ in net.arcs)
                 for sol in (solve_mcf(net), ssp_oracle(net)):
-                    assert all(x == 0 for a, x in zip(net.arcs, sol.flows)
-                               if a.src == g.v0)
+                    assert all(x == 0 for (src, *_), x in zip(net.arcs, sol.flows)
+                               if src == g.v0)
                     dist = residual_potentials(net, sol, g.v0, sentinel=marker)
                     assert marker not in dist
                 flows += 1
@@ -448,14 +446,14 @@ def test_bundled_parallel_arcs_match_oracle(cost_range):
         assert (residual_potentials(net, a, 0, marker)
                 == residual_potentials(net, b, 0, marker))
         groups = {}
-        for arc in net.arcs:
-            groups.setdefault((arc.src, arc.dst), []).append(arc)
+        for src, dst, cost, upper in net.arcs:
+            groups.setdefault((src, dst), []).append((cost, upper))
         for (s, d), g in groups.items():
             seen.add(("size", len(g)))
-            costs = [arc.cost for arc in g]
+            costs = [cost for cost, _ in g]
             if len(set(costs)) < len(costs):
                 seen.add("tie")
-            if any(arc.upper == 0 for arc in g):
+            if any(upper == 0 for _, upper in g):
                 seen.add("zero capacity")
             if s == d and len(g) > 1 and min(costs) < 0:
                 seen.add("negative parallel self-loop")

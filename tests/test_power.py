@@ -70,6 +70,9 @@ def test_load_curves_errors():
         load_curves("[1, 2]", c)
     with pytest.raises(CurveError, match="no curve for gate a"):
         load_curves('{"zz": [[0, 1]]}', c)
+    # an entry that names no gate is an error, not silently unused
+    with pytest.raises(CurveError, match="names unknown gate 'typo_gate'"):
+        load_curves('{"default": [[0, 1]], "typo_gate": [[0, 2]]}', c)
     with pytest.raises(CurveError, match="curve for 'a'"):
         load_curves('{"a": [[0, 10], [5, 20]]}', c)
     # slacks and powers are ints: no truncation, no bool or string coercion

@@ -1,5 +1,4 @@
 """Dual-graph construction and expansion into a circulation network."""
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -7,19 +6,30 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import (Circuit, Edge, breakpoints, expand, generate_random,
-                       make_curve, parse_circuit, split_graph)
+from retislack import (Circuit, Edge, PowerSlackCurve, breakpoints, expand,
+                       generate_random, make_curve, parse_circuit, split_graph,
+                       transform)
 from retislack.mcf import solve_mcf
-from retislack.transform import (Arc, FlowNetwork, TransformError, _template,
-                                 penalty_divisor)
+from retislack.transform import FlowNetwork, TransformError
 from conftest import CURVE3_PAIRS, CURVE4_PAIRS, curves_for, one_edge_graph
 from test_mcf import _mixed_curve
+
+
+def _fanin_walk_kappa(c, j):
+    """Reference penalty divisor: walk gate j's fanin list and count its
+    zero-FF edges, at least 1."""
+    return max(1, sum(1 for e in c.fanin[j] if c.edges[e].w == 0))
+
+
+def _slopes(g, j):
+    """Gate j's breakpoints divided by its penalty divisor."""
+    return [b / g.kappa[j] for b in breakpoints(g.curves[j])]
 
 
 def _big(g, net):
     """Capacity of the uncapacitated arcs: D times one more than the sum of
     every costed edge's slopes, more than any E2 edge can carry."""
-    total = sum(sum(g.slopes[e.dst]) for e in g.circuit.edges)
+    total = sum(sum(_slopes(g, e.dst)) for e in g.circuit.edges)
     return (1 + math.ceil(total)) * net.scale
 
 
@@ -28,13 +38,13 @@ def _e2_blocks(g, net):
     arcs in edge order, and every edge into gate j emits the same number."""
     c = g.circuit
     mid = net.arcs[c.n:]
-    arcs_per_pair = Counter((a.src, a.dst) for a in mid)
+    arcs_per_pair = Counter((src, dst) for src, dst, _, _ in mid)
     edges_per_pair = Counter((e.src, e.dst) for e in c.edges)
     blocks, pos = [], 0
     for e in c.edges:
         m = arcs_per_pair[e.src, e.dst] // edges_per_pair[e.src, e.dst]
         blocks.append(mid[pos:pos + m])
-        assert all((a.src, a.dst) == (e.src, e.dst) for a in blocks[-1])
+        assert all((src, dst) == (e.src, e.dst) for src, dst, _, _ in blocks[-1])
         pos += m
     assert pos == len(mid)
     return blocks
@@ -68,33 +78,51 @@ def test_split_self_loop_bounds():
 
 
 def test_split_keeps_each_gates_levels_and_slopes_over_kappa():
-    # d has two zero-FF fanins (kappa 2); every gate's slopes times its slack
-    # gaps add up to its power drop divided by kappa
+    # d has two zero-FF fanins (kappa 2); every gate keeps its curve, and its
+    # slopes over kappa times its slack gaps add up to its power drop over kappa
     c = parse_circuit("gate a 1\ngate b 2\ngate d 3\n"
                       "edge a d 0\nedge b d 0\nedge d a 1\n")
     curves = curves_for(c)
     g = split_graph(c, 20, curves)
+    assert g.curves == tuple(curves[j] for j in range(c.n))
+    assert g.kappa == (1, 1, 2)
     for j in range(c.n):
         s, p = curves[j].slacks, curves[j].powers
-        kappa = penalty_divisor(c, j)
-        assert g.slacks[j] == s
-        assert g.slopes[j] == tuple(b / kappa for b in breakpoints(curves[j]))
-        drop = sum(b * (s[q + 1] - s[q]) for q, b in enumerate(g.slopes[j]))
-        assert drop == Fraction(p[0] - p[-1], kappa)
-    assert g.slopes[c.gate_id("d")] == (2, Fraction(3, 2), Fraction(10, 13))
+        drop = sum(b * (s[q + 1] - s[q]) for q, b in enumerate(_slopes(g, j)))
+        assert drop == Fraction(p[0] - p[-1], g.kappa[j])
+    assert _slopes(g, c.gate_id("d")) == [2, Fraction(3, 2), Fraction(10, 13)]
 
 
 def test_penalty_divisor_counts_zero_ff_fanins():
     c = parse_circuit(
         "gate a 1\ngate b 1\ngate c 1\ngate d 1\n"
         "edge a d 0\nedge b d 1\nedge c d 0\n")
-    assert penalty_divisor(c, c.gate_id("d")) == 2
-    assert penalty_divisor(c, c.gate_id("a")) == 1  # no fanins, clamped
+    g = split_graph(c, 40, curves_for(c))
+    assert g.kappa[c.gate_id("d")] == 2
+    assert g.kappa[c.gate_id("a")] == 1  # no fanins, clamped
 
 
 def test_penalty_divisor_mixed():
     c = parse_circuit("gate a 1\ngate b 1\nedge a b 0\nedge a b 1\n")
-    assert penalty_divisor(c, 1) == 1
+    assert split_graph(c, 40, curves_for(c)).kappa == (1, 1)
+
+
+def test_kappa_matches_fanin_walk():
+    # one pass over the edges counts what walking each gate's fanin list
+    # counts, with self-loops, duplicate edges and gates with no fanin
+    rng = random.Random(39)
+    seen = Counter()
+    for seed in range(40):
+        c = generate_random(rng.randint(2, 40), edge_density=rng.uniform(0.5, 2.4),
+                            ff_prob=0.4, seed=seed)
+        dups = tuple(rng.sample(c.edges, min(len(c.edges), rng.randint(0, 4))))
+        c = _with_self_loops(Circuit(c.gates, c.edges + dups), rng)
+        g = split_graph(c, sum(c.delays) + 40, curves_for(c))
+        assert g.kappa == tuple(_fanin_walk_kappa(c, j) for j in range(c.n))
+        seen["duplicate zero-FF edge"] += any(e.w == 0 for e in dups)
+        seen["no fanin"] += any(not c.fanin[j] for j in range(c.n))
+        seen["kappa > 1"] += max(g.kappa) > 1
+    assert min(seen.values()) > 0 and len(seen) == 3
 
 
 def test_split_rejects_impossible_period(ring3):
@@ -106,10 +134,10 @@ def test_expand_four_level_edge_arcs():
     # a single costed edge carrying the four-level curve: one arc per level,
     # costs are the negated slacks, caps the scaled slope drops
     cur = make_curve([(0, 100), (10, 60), (20, 30), (33, 10)])
-    g = one_edge_graph(cur.slacks, breakpoints(cur))
+    g = one_edge_graph(cur)
     net = expand(g)
     assert net.scale == 13  # clears the 20/13 slope
-    finite = [(a.cost, a.upper) for a in net.arcs if (a.src, a.dst) == (0, 0)]
+    finite = [(cost, upper) for src, dst, cost, upper in net.arcs if (src, dst) == (0, 0)]
     big = _big(g, net)
     assert big == 10 * 13  # 1 + ceil(4 + 3 + 20/13)
     assert finite == [
@@ -124,21 +152,21 @@ def _e2_caps_rebuild_breakpoints(g, net):
     """Rebuild each circuit edge's sink slopes from its E2 arcs."""
     D = net.scale
     for e, arcs in zip(g.circuit.edges, _e2_blocks(g, net)):
-        s = g.slacks[e.dst]
+        s = g.curves[e.dst].slacks
         L = len(s)
         shift = g.lower[e.dst] - g.period * e.w  # the edge's window bottom
         # every arc sits at one level's slack offset, shifted like the
         # edge's window: highest level first, one arc per level at most,
         # and level 0 always has one
         level_at = {s[q] - s[0]: q for q in range(L)}
-        levels = [level_at[-a.cost - shift] for a in arcs]
+        levels = [level_at[-cost - shift] for _, _, cost, _ in arcs]
         assert levels == sorted(set(levels), reverse=True) and levels[-1] == 0
         # a level without an arc has capacity 0; suffix sums of the finite
         # caps, highest level first, rebuild the scaled slopes b(L)..b(2)
-        cap_at = {q: a.upper for q, a in zip(levels, arcs)}
+        cap_at = {q: upper for q, (_, _, _, upper) in zip(levels, arcs)}
         caps = [cap_at.get(q, 0) for q in reversed(range(L))]
         rebuilt = [Fraction(sum(caps[:seg + 1]), D) for seg in range(L - 1)]
-        assert rebuilt == list(reversed(g.slopes[e.dst]))
+        assert rebuilt == list(reversed(_slopes(g, e.dst)))
 
 
 def test_expand_caps_reconstruct_breakpoints(ring3):
@@ -149,22 +177,20 @@ def test_expand_caps_reconstruct_breakpoints(ring3):
 def test_expand_drops_zero_capacity_arcs(ring3):
     # slopes 2, 2, 1: the repeated slope leaves one segment with no arc
     cur = make_curve([(0, 50), (4, 42), (8, 34), (12, 30)])
-    g = one_edge_graph(cur.slacks, breakpoints(cur))
+    g = one_edge_graph(cur)
     net = expand(g)
-    e2 = [a for a in net.arcs if (a.src, a.dst) == (0, 0)]
-    assert len(e2) == 3
-    assert [a.cost for a in e2] == [-12, -8, 0]  # levels 3, 2, 0: none for 1
+    e2 = [cost for src, dst, cost, _ in net.arcs if (src, dst) == (0, 0)]
+    assert e2 == [-12, -8, 0]  # levels 3, 2, 0: none for 1
     _e2_caps_rebuild_breakpoints(g, net)
     # every arc of a whole network can carry flow, and each gate window is
     # exactly one uncapacitated arc at its lower bound
     g = split_graph(ring3, 6, curves_for(ring3))
     net = expand(g)
     big = _big(g, net)
-    assert all(a.upper > 0 for a in net.arcs)
+    assert all(upper > 0 for _, _, _, upper in net.arcs)
     for i in range(g.n_gates):
-        arcs = [a for a in net.arcs if (a.src, a.dst) == (g.n_gates, i)]
-        assert [(a.src, a.dst, a.cost, a.upper) for a in arcs] == [
-            (g.n_gates, i, -g.lower[i], big)]
+        arcs = [a for a in net.arcs if a[:2] == (g.n_gates, i)]
+        assert arcs == [(g.n_gates, i, -g.lower[i], big)]
 
 
 def test_expand_arcs_on_random_curves():
@@ -183,10 +209,9 @@ def test_expand_arcs_on_random_curves():
             curves[j] = make_curve(pairs)
         g = split_graph(c, sum(c.delays) + 40, curves)
         net = expand(g)
-        assert all(a.upper > 0 for a in net.arcs)
-        e1_arcs = [a for a in net.arcs if a.src == g.v0]
-        assert len(e1_arcs) == c.n
-        assert all(a.upper == _big(g, net) for a in e1_arcs)
+        assert all(upper > 0 for _, _, _, upper in net.arcs)
+        e1_caps = [upper for src, _, _, upper in net.arcs if src == g.v0]
+        assert e1_caps == [_big(g, net)] * c.n
         _e2_caps_rebuild_breakpoints(g, net)
 
 
@@ -198,29 +223,29 @@ def test_expand_repeats_the_sink_template_per_fanin():
     T = 40
     g = split_graph(c, T, curves_for(c))
     net = expand(g)
-    arcs = [[a for a in net.arcs if (a.src, a.dst) == (e.src, e.dst)]
-            for e in c.edges]
+    arcs = [[(cost, upper) for src, dst, cost, upper in net.arcs
+             if (src, dst) == (e.src, e.dst)] for e in c.edges]
     assert len(arcs[0]) == 4
     for w in (1, 2):
-        assert [a.upper for a in arcs[w]] == [a.upper for a in arcs[0]]
-        assert [a.cost - b.cost for a, b in zip(arcs[w], arcs[0])] == [T * w] * 4
+        assert [u for _, u in arcs[w]] == [u for _, u in arcs[0]]
+        assert [a - b for (a, _), (b, _) in zip(arcs[w], arcs[0])] == [T * w] * 4
 
 
 def test_expand_pure_circulation(ring3):
     g = split_graph(ring3, 5, curves_for(ring3))
     net = expand(g)
-    assert all(a.upper >= 0 for a in net.arcs)
+    assert all(upper >= 0 for _, _, _, upper in net.arcs)
     with pytest.raises(TransformError, match="negative capacity"):
-        FlowNetwork(2, (Arc(0, 1, 0, -1),))
+        FlowNetwork(2, ((0, 1, 0, -1),))
 
 
-@pytest.mark.parametrize("arc", [Arc(1, -1, -1, 1), Arc(1, 2, -1, 1)],
+@pytest.mark.parametrize("arc", [(1, -1, -1, 1), (1, 2, -1, 1)],
                          ids=["negative", "past_last_node"])
 def test_flow_network_rejects_endpoint_outside_nodes(arc):
     # a negative endpoint would index the last node from the end, so the
     # solver would read arc 1 as a self-loop and return cost -1
     with pytest.raises(TransformError, match="endpoint outside nodes 0..1"):
-        solve_mcf(FlowNetwork(2, (Arc(0, 1, -1, 1), arc)))
+        solve_mcf(FlowNetwork(2, ((0, 1, -1, 1), arc)))
 
 
 def test_expand_ring3_network(ring3):
@@ -228,7 +253,7 @@ def test_expand_ring3_network(ring3):
     # circuit edge, highest level first
     net = expand(split_graph(ring3, 5, curves_for(ring3)))
     assert (net.n_nodes, net.scale) == (4, 13)
-    assert [(a.src, a.dst, a.cost, a.upper) for a in net.arcs] == [
+    assert list(net.arcs) == [
         (3, 0, -2, 351), (3, 1, -3, 351), (3, 2, -4, 351),
         (0, 1, -36, 20), (0, 1, -23, 19), (0, 1, -13, 13), (0, 1, -3, 299),
         (1, 2, -32, 20), (1, 2, -19, 19), (1, 2, -9, 13), (1, 2, 1, 299),
@@ -243,17 +268,17 @@ def test_expand_deterministic(ring3):
 
 def test_expand_rejects_negative_capacity():
     # bypass curve validation to smuggle in a concave curve (slopes 2, 5)
-    from retislack.power import PowerSlackCurve
     bad = PowerSlackCurve((0, 10, 20), (100, 80, 30))
     with pytest.raises(TransformError, match="negative capacity"):
-        expand(one_edge_graph(bad.slacks, breakpoints(bad)))
+        expand(one_edge_graph(bad))
+    # and a rising one (slope -1/2)
     with pytest.raises(TransformError, match="negative capacity slope"):
-        expand(one_edge_graph((0, 10), (Fraction(-1, 2),)))
+        expand(one_edge_graph(PowerSlackCurve((0, 10), (100, 105))))
 
 
 def _per_gate_network(c, T, lower, slacks, slopes):
-    """Reference expansion, one template per sink gate and plain tuples:
-    (n_nodes, scale, [(src, dst, cost, upper), ...])."""
+    """Reference expansion in Fraction arithmetic, one template per sink gate
+    and plain tuples: (n_nodes, scale, [(src, dst, cost, upper), ...])."""
     fanins = Counter(e.dst for e in c.edges)
     scale = 1
     total_b = Fraction(0)
@@ -262,7 +287,15 @@ def _per_gate_network(c, T, lower, slacks, slopes):
             scale = math.lcm(scale, b.denominator)
         total_b += count * sum(slopes[j])
     big = (1 + math.ceil(total_b)) * scale
-    templates = {j: _template(slacks[j], slopes[j], scale, big) for j in fanins}
+    templates = {}
+    for j in fanins:
+        s, bs = slacks[j], list(slopes[j]) + [0]
+        # level 0 gets M - b(2), level q the drop b(q+1) - b(q+2), all times D
+        caps = [big - bs[0] * scale] + [(bs[q - 1] - bs[q]) * scale
+                                        for q in range(1, len(s))]
+        assert all(Fraction(cap).denominator == 1 for cap in caps)
+        templates[j] = [(s[q] - s[0], int(caps[q]))
+                        for q in reversed(range(len(s))) if caps[q]]
     arcs = [(c.n, i, -lo, big) for i, lo in enumerate(lower)]
     for e in c.edges:
         shift = lower[e.dst] - T * e.w
@@ -273,23 +306,12 @@ def _per_gate_network(c, T, lower, slacks, slopes):
 def _assert_expands_like_per_gate_reference(c, T, curves):
     g = split_graph(c, T, curves)
     net = expand(g)
-    slopes = [tuple(b / penalty_divisor(c, j) for b in breakpoints(curves[j]))
+    slopes = [tuple(b / _fanin_walk_kappa(c, j) for b in breakpoints(curves[j]))
               for j in range(c.n)]
     lower = [d + curves[j].slacks[0] for j, d in enumerate(c.delays)]
-    assert list(g.slopes) == slopes
     assert (net.n_nodes, net.scale, list(net.arcs)) == _per_gate_network(
         c, T, lower, [curves[j].slacks for j in range(c.n)], slopes)
-    # gates with an equal curve and penalty divisor share the tuples that
-    # expand groups by, so their template is built once
-    first = {}
-    for j in range(c.n):
-        k = first.setdefault((curves[j], penalty_divisor(c, j)), j)
-        assert g.slacks[j] is g.slacks[k] and g.slopes[j] is g.slopes[k]
-    # unshared tuples, as a hand-built graph may have, give the same network
-    copied = dataclasses.replace(g, slacks=tuple(tuple(list(s)) for s in g.slacks),
-                                 slopes=tuple(tuple(list(s)) for s in g.slopes))
-    assert expand(copied) == net
-    return g
+    return net
 
 
 PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83)
@@ -301,48 +323,70 @@ def _with_self_loops(c, rng):
     return Circuit(c.gates, c.edges + loops)
 
 
+def _random_curves(kind, c, rng):
+    """Per-gate curves of one kind (0-4), as the reference test draws them."""
+    if kind == 0:  # one shared curve object
+        return curves_for(c)
+    if kind == 1:  # per-gate 1-7-level curves, no two objects alike
+        return {j: make_curve(_mixed_curve(rng)) for j in range(c.n)}
+    if kind == 2:  # a few mixed curves, as shared objects and as equal copies
+        pool = [_mixed_curve(rng) for _ in range(3)]
+        objs = [make_curve(pairs) for pairs in pool]
+        return {j: rng.choice(objs) if rng.random() < 0.5
+                else make_curve(rng.choice(pool)) for j in range(c.n)}
+    if kind == 3:  # slopes 1000/p: the scale is a product of primes
+        return {j: make_curve([(0, 1000), (rng.choice(PRIMES), 0)]) for j in range(c.n)}
+    cur3, cur4 = make_curve(CURVE3_PAIRS), make_curve(CURVE4_PAIRS)
+    return {j: rng.choice((cur3, cur4)) for j in range(c.n)}
+
+
 def test_expand_matches_per_gate_reference():
     rng = random.Random(19)
-    shared = 0
     for seed in range(30):
         c = generate_random(rng.randint(2, 60), edge_density=rng.uniform(1.2, 2.4),
                             ff_prob=0.4, seed=seed)
         if seed % 3 == 0:
             c = _with_self_loops(c, rng)
-        kind = seed % 5
-        if kind == 0:  # one shared curve object
-            curves = curves_for(c)
-        elif kind == 1:  # per-gate 1-7-level curves, no two objects alike
-            curves = {j: make_curve(_mixed_curve(rng)) for j in range(c.n)}
-        elif kind == 2:  # a few mixed curves, as shared objects and as equal copies
-            pool = [_mixed_curve(rng) for _ in range(3)]
-            objs = [make_curve(pairs) for pairs in pool]
-            curves = {j: rng.choice(objs) if rng.random() < 0.5
-                      else make_curve(rng.choice(pool)) for j in range(c.n)}
-        elif kind == 3:  # slopes 1000/p: the scale is a product of primes
-            curves = {j: make_curve([(0, 1000), (rng.choice(PRIMES), 0)])
-                      for j in range(c.n)}
-        else:
-            cur3, cur4 = make_curve(CURVE3_PAIRS), make_curve(CURVE4_PAIRS)
-            curves = {j: rng.choice((cur3, cur4)) for j in range(c.n)}
+        curves = _random_curves(seed % 5, c, rng)
         T = max(d + curves[j].slacks[0] for j, d in enumerate(c.delays)) + rng.randint(0, 9)
-        g = _assert_expands_like_per_gate_reference(c, T, curves)
-        shared += c.n - len({id(s) for s in g.slopes})
-    assert shared > 500  # the sharing the template grouping rests on
+        _assert_expands_like_per_gate_reference(c, T, curves)
     # the 20-gate prime ring of the command-line test: no two gates share
     ring = parse_circuit("".join(f"gate g{i} 3\n" for i in range(20)) +
                          "".join(f"edge g{i} g{(i + 1) % 20} {int(i % 3 == 2)}\n"
                                  for i in range(20)))
     curves = {j: make_curve([(0, 1000), (p, 0)]) for j, p in enumerate(PRIMES)}
-    g = _assert_expands_like_per_gate_reference(ring, 12, curves)
-    assert expand(g).scale == math.prod(PRIMES)
+    assert _assert_expands_like_per_gate_reference(ring, 12, curves).scale == math.prod(PRIMES)
 
 
 @pytest.mark.parametrize("pairs", [CURVE4_PAIRS, CURVE3_PAIRS, [(0, 5)],
                                    [(0, 50), (4, 42), (8, 34), (12, 30)]])
 def test_expand_one_edge_graph_matches_per_gate_reference(pairs):
     cur = make_curve(pairs)
-    g = one_edge_graph(cur.slacks, breakpoints(cur), shift=3)
+    g = one_edge_graph(cur, kappa=2, shift=3)
     net = expand(g)
     assert (net.n_nodes, net.scale, list(net.arcs)) == _per_gate_network(
-        g.circuit, g.period, g.lower, g.slacks, g.slopes)
+        g.circuit, g.period, g.lower, [cur.slacks], [_slopes(g, 0)])
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["shared", "per_gate", "equal_copies"])
+def test_expand_builds_one_template_per_distinct_curve_and_kappa(monkeypatch, kind):
+    # sink gates are grouped by the value (curve, kappa), so equal-valued
+    # curve copies share a template as one shared curve object does
+    build = transform._template
+    calls = []
+    monkeypatch.setattr(transform, "_template",
+                        lambda *args: calls.append(args) or build(*args))
+    rng = random.Random(2020 + kind)
+    copies = 0
+    for seed in range(12):
+        c = _with_self_loops(generate_random(rng.randint(5, 60), edge_density=2.0,
+                                             ff_prob=0.4, seed=seed), rng)
+        curves = _random_curves(kind, c, rng)
+        T = max(d + curves[j].slacks[0] for j, d in enumerate(c.delays))
+        calls.clear()
+        expand(split_graph(c, T, curves))
+        sinks = {e.dst for e in c.edges}
+        assert len(calls) == len({(curves[j], _fanin_walk_kappa(c, j)) for j in sinks})
+        copies += len({(id(curves[j]), _fanin_walk_kappa(c, j)) for j in sinks}) - len(calls)
+    if kind != 1:  # per-gate mixed curves may coincide by value too
+        assert (copies > 0) == (kind == 2)
