@@ -4,7 +4,8 @@ A circuit is a directed graph of combinational gates.  Each gate carries an
 integer delay; each edge carries an integer flip-flop (FF) count.  Timing is
 propagated only along edges with zero FFs, so the zero-FF subgraph must be
 acyclic.  All times are integers, which keeps every computation in the rest
-of the pipeline exact.
+of the pipeline exact.  `Circuit` enforces these rules (a bool is not an
+int) and the text format's name alphabet, so parse(render(c)) == c.
 """
 from __future__ import annotations
 
@@ -45,19 +46,21 @@ class Circuit:
             raise CircuitError("no gates")
         names = set()
         for q, g in enumerate(self.gates):
-            if g.id != q:
+            if type(g.id) is not int or g.id != q:
                 raise CircuitError(f"gate ids must be 0..{len(self.gates) - 1} in order")
-            if g.delay < 0:
-                raise CircuitError(f"gate {g.name}: negative delay {g.delay}")
+            if not (isinstance(g.name, str) and _NAME_RE.fullmatch(g.name)):
+                raise CircuitError(f"bad gate name {g.name!r}")
+            if type(g.delay) is not int or g.delay < 0:
+                raise CircuitError(f"gate {g.name}: bad delay {g.delay!r}")
             if g.name in names:
                 raise CircuitError(f"duplicate gate name {g.name}")
             names.add(g.name)
         n = len(self.gates)
         for e in self.edges:
-            if not (0 <= e.src < n and 0 <= e.dst < n):
-                raise CircuitError(f"edge ({e.src}, {e.dst}) references unknown gate")
-            if e.w < 0:
-                raise CircuitError(f"edge ({e.src}, {e.dst}): negative FF count {e.w}")
+            if not (type(e.src) is type(e.dst) is int and 0 <= e.src < n and 0 <= e.dst < n):
+                raise CircuitError(f"edge ({e.src!r}, {e.dst!r}) references unknown gate")
+            if type(e.w) is not int or e.w < 0:
+                raise CircuitError(f"edge ({e.src}, {e.dst}): bad FF count {e.w!r}")
         arrivals(self, self.delays)  # raises on a combinational cycle
 
     @property
@@ -295,8 +298,6 @@ def parse_circuit(text: str) -> Circuit:
             edges.append(Edge(names[parts[1]], names[parts[2]], w))
         else:
             raise CircuitError(f"line {ln}: unknown record {parts[0]!r}")
-    if not gates:
-        raise CircuitError("no gates")
     return Circuit(tuple(gates), tuple(edges))
 
 

@@ -1,12 +1,12 @@
 """Discrete power-slack curves.
 
-A curve is two tuples of integers: strictly increasing slack levels and
-the power at each.  Power must be nonincreasing and convex in slack: the
-magnitudes of the segment slopes (the breakpoints) are nonincreasing from
-left to right.  Breakpoints are exact rationals.  Every gate that uses the
-same curve-file entry gets the same object.  Curves compare and hash by
-value, and `transform` expands each distinct curve and penalty divisor
-once, so equal curves from separate entries are expanded once too.
+A curve is two equal-length tuples of integers: strictly increasing slack
+levels, none negative, and the power at each.  Power is nonincreasing and
+convex in slack: the segment slope magnitudes (the breakpoints, exact
+rationals) are nonincreasing from left to right.  The constructor enforces
+all of this, so every curve is valid.  Every gate that uses the same
+curve-file entry gets the same object.  Curves compare and hash by value,
+and `transform` expands each distinct curve and penalty divisor once.
 """
 from __future__ import annotations
 
@@ -23,8 +23,30 @@ class CurveError(ValueError):
 
 @dataclass(frozen=True)
 class PowerSlackCurve:
-    slacks: tuple[int, ...]  # strictly increasing
+    slacks: tuple[int, ...]  # strictly increasing, from at least 0
     powers: tuple[int, ...]  # power at each slack level
+
+    def __post_init__(self):
+        s, p = self.slacks, self.powers
+        if len(s) != len(p):
+            raise CurveError(f"{len(s)} slack levels but {len(p)} powers")
+        if not s:
+            raise CurveError("empty curve")
+        for x in (*s, *p):  # a bool is not an int
+            if type(x) is not int:
+                raise CurveError(f"level value {x!r}: slack and power must be integers")
+        if s[0] < 0:
+            raise CurveError(f"negative slack level {s[0]}")
+        for q in range(1, len(s)):
+            if s[q] <= s[q - 1]:
+                raise CurveError(f"slack levels not strictly increasing at {s[q]}")
+            if p[q] > p[q - 1]:
+                raise CurveError(f"increasing power at slack {s[q]}")
+            # convex: slope magnitude q at most slope magnitude q - 1
+            if q > 1 and ((p[q - 1] - p[q]) * (s[q - 1] - s[q - 2])
+                          > (p[q - 2] - p[q - 1]) * (s[q] - s[q - 1])):
+                raise CurveError(
+                    f"non-convex curve: slope magnitude rises at slack {s[q - 1]}")
 
     @property
     def nlevels(self) -> int:
@@ -32,33 +54,8 @@ class PowerSlackCurve:
 
 
 def make_curve(pairs) -> PowerSlackCurve:
-    """Curve from (slack, power) pairs of ints (a bool is not an int)."""
-    for s, p in pairs:
-        if type(s) is not int or type(p) is not int:
-            raise CurveError(f"level [{s!r}, {p!r}]: slack and power must be integers")
-    c = PowerSlackCurve(tuple(s for s, _ in pairs), tuple(p for _, p in pairs))
-    validate_curve(c)
-    return c
-
-
-def validate_curve(curve: PowerSlackCurve) -> None:
-    """Check monotone slack grid, nonincreasing power, and convexity."""
-    if not curve.slacks:
-        raise CurveError("empty curve")
-    slacks = curve.slacks
-    powers = curve.powers
-    if slacks[0] < 0:
-        raise CurveError(f"negative slack level {slacks[0]}")
-    for q in range(1, len(slacks)):
-        if slacks[q] <= slacks[q - 1]:
-            raise CurveError(f"slack levels not strictly increasing at {slacks[q]}")
-        if powers[q] > powers[q - 1]:
-            raise CurveError(f"increasing power at slack {slacks[q]}")
-    bs = breakpoints(curve)
-    for q in range(1, len(bs)):
-        if bs[q] > bs[q - 1]:
-            raise CurveError(
-                f"non-convex curve: slope magnitude rises from {bs[q - 1]} to {bs[q]}")
+    """Curve from (slack, power) pairs."""
+    return PowerSlackCurve(tuple(s for s, _ in pairs), tuple(p for _, p in pairs))
 
 
 def breakpoints(curve: PowerSlackCurve) -> list[Fraction]:

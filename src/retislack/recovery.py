@@ -16,10 +16,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .circuit import Circuit, IncrementalTiming, sta
+from .circuit import Circuit, CircuitError, IncrementalTiming, sta
 from .mcf import residual_potentials, solve_mcf, ssp_oracle
 from .power import PowerSlackCurve, breakpoints
-from .retime import Retiming, feasible_retiming, min_period, retimed_weights
+from .retime import Retiming, RetimingError, feasible_retiming, min_period, retimed_weights
 from .transform import DualGraph, expand, split_graph
 
 
@@ -84,10 +84,10 @@ def recover_duals(g: DualGraph, dist: tuple[int, ...]):
         if gap < g.lower[dst] - shift:
             raise RecoveryError(
                 f"recovered duals infeasible: {what} {k} gap {gap} below its "
-                f"lower bound {g.lower[dst] - shift}; distances={dist}")
+                f"lower bound {g.lower[dst] - shift}")
         return min(g.upper[dst] - shift, gap)
 
-    ref, T = g.n_gates, g.period
+    ref, T = g.v0, g.period
     s1 = [capped("E1 edge of gate", i, ref, i, 0) for i in range(ref)]
     s2 = [capped("E2 edge", k, e.src, e.dst, T * e.w)
           for k, e in enumerate(g.circuit.edges)]
@@ -240,9 +240,11 @@ def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
 
 def verify_result(c: Circuit, result: BudgetResult) -> None:
     """Independent re-verification: legal retiming and period met."""
-    weights = retimed_weights(c, result.retiming)  # raises if illegal
     eff = [c.delays[j] + result.assignment.slacks[j] for j in range(c.n)]
-    rep = sta(c, result.period, eff, weights)
+    try:  # an illegal retiming names its edge, a negative delay its gate
+        rep = sta(c, result.period, eff, retimed_weights(c, result.retiming))
+    except (RetimingError, CircuitError) as e:
+        raise RecoveryError(f"re-verification failed: {e}") from None
     if max(rep.arrival) > result.period:
         raise RecoveryError("re-verification failed: period violated")
     if max(rep.arrival) != result.achieved_period:

@@ -12,8 +12,8 @@ classes, those of the convex-cost dual flow of Ahuja, Hochbaum & Orlin
 
   E1  n -> i           per gate: the gate's slack window [lower_i, upper_i],
                        its delay plus its first and last slack, as one
-                       uncapacitated arc at the lower bound; accepted curves
-                       never rise, so the flattened (Q-transformed) cost the
+                       uncapacitated arc at the lower bound; curves never
+                       rise, so the flattened (Q-transformed) cost the
                        paper puts here is a constant
   E2  i -> j           per circuit edge: arrival propagation, cost = the
                        sink gate's curve divided by kappa_j, its window
@@ -28,7 +28,10 @@ does every fanin edge of a gate with an equal curve and kappa.  `expand`
 groups the sink gates by the value (curve, kappa) and builds one template
 per group: one parallel arc per usable curve level, at the level's slack
 offset, its capacity the drop between consecutive breakpoints over kappa,
-scaled by D to an integer; a level whose drop is zero gives no arc.  Each
+times D; a level whose drop is zero gives no arc.  D is the lcm of the
+reduced denominators of the slopes over kappa, read off integer pairs
+(power drop, slack step * kappa).  Curves are convex and never rise by
+construction, so no capacity is negative.  Each
 circuit edge emits its sink's template at arc cost -(lower_j - T*w +
 offset).  The result is a pure circulation instance with all lower bounds
 zero and no zero-capacity arc; each arc is a plain tuple
@@ -41,12 +44,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .power import PowerSlackCurve, breakpoints
+from .power import PowerSlackCurve
 
 
 class TransformError(ValueError):
-    """The instance admits no feasible slack assignment, or a curve leaked
-    through validation."""
+    """The instance admits no feasible slack assignment, or a flow network
+    is malformed."""
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,6 @@ class DualGraph:
     upper: tuple[int, ...]  # per gate: delay + last slack
     curves: tuple[PowerSlackCurve, ...]  # per gate: its power-slack curve
     kappa: tuple[int, ...]  # per gate: zero-FF fanin edges, at least 1
-
-    @property
-    def n_gates(self) -> int:
-        return self.circuit.n
 
     @property
     def n_nodes(self) -> int:
@@ -117,8 +116,6 @@ def _template(slacks: tuple[int, ...], scaled: list[int],
     these levels and slopes times D, highest level first."""
     drops = [big] + scaled + [0]  # big, then b(2)..b(L) times D, then 0
     caps = [drops[q] - drops[q + 1] for q in range(len(slacks))]
-    if min(caps) < 0:
-        raise TransformError("negative capacity (non-convex curve leaked through)")
     return [(slacks[q] - slacks[0], caps[q])
             for q in range(len(slacks) - 1, -1, -1) if caps[q]]
 
@@ -131,11 +128,12 @@ def expand(g: DualGraph) -> FlowNetwork:
     groups: dict[tuple[PowerSlackCurve, int], list[int]] = {}
     for j in fanins:
         groups.setdefault((g.curves[j], g.kappa[j]), []).append(j)
-    slopes = [[b / kappa for b in breakpoints(cur)] for cur, kappa in groups]
-    scale = math.lcm(1, *(b.denominator for bs in slopes for b in bs))
-    scaled = [[b.numerator * (scale // b.denominator) for b in bs] for bs in slopes]
-    if any(x < 0 for xs in scaled for x in xs):
-        raise TransformError("negative capacity slope on an E2 arc")
+    # each slope b(q) / kappa as the integer pair (power drop, slack step * kappa)
+    slopes = [[(p0 - p1, (s1 - s0) * kappa) for s0, s1, p0, p1 in
+               zip(cur.slacks, cur.slacks[1:], cur.powers, cur.powers[1:])]
+              for cur, kappa in groups]
+    scale = math.lcm(1, *(den // math.gcd(num, den) for bs in slopes for num, den in bs))
+    scaled = [[num * scale // den for num, den in bs] for bs in slopes]
     total = sum(sum(fanins[j] for j in js) * sum(xs)
                 for js, xs in zip(groups.values(), scaled))
     # (1 + ceil(total / D)) * D: more than any E2 edge can carry

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from retislack import (Circuit, CircuitError, Edge, feasible_retiming,
+from retislack import (Circuit, CircuitError, Edge, Gate, feasible_retiming,
                        generate_random, parse_circuit, render_circuit, sta)
 from retislack.circuit import IncrementalTiming
 from retislack.retime import retimed_weights
@@ -33,6 +33,29 @@ def test_render_round_trip_random():
     for seed in range(10):
         c = generate_random(12, seed=seed)
         assert parse_circuit(render_circuit(c)) == c
+
+
+def test_render_round_trip_hand_named():
+    c = Circuit((Gate(0, "in.0", 0), Gate(1, "_x", 7), Gate(2, "Edge_9", 2)),
+                (Edge(0, 1, 0), Edge(1, 2, 3), Edge(2, 2, 1), Edge(2, 0, 0)))
+    assert parse_circuit(render_circuit(c)) == c
+
+
+@pytest.mark.parametrize("gate, edge, msg", [
+    (Gate(0, "", 1), None, "bad gate name ''"),
+    (Gate(0, "a b", 1), None, "bad gate name 'a b'"),
+    (Gate(0, "x!", 1), None, "bad gate name 'x!'"),
+    (Gate(0, "a", 2.5), None, "bad delay 2.5"),
+    (Gate(0, "a", True), None, "bad delay True"),
+    (Gate(0, "a", -1), None, "bad delay -1"),
+    (Gate(0.0, "a", 1), None, "gate ids"),
+    (Gate(0, "a", 1), Edge(0, 0, 0.5), "bad FF count 0.5"),
+    (Gate(0, "a", 1), Edge(0.0, 0, 1), "references unknown gate"),
+], ids=["empty_name", "space", "bang", "float_delay", "bool_delay",
+        "negative_delay", "float_id", "float_ff_count", "float_endpoint"])
+def test_constructor_rejects_what_the_text_format_cannot_hold(gate, edge, msg):
+    with pytest.raises(CircuitError, match=msg):
+        Circuit((gate,), (edge,) if edge else ())
 
 
 def test_parse_errors():

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, reports, CSV/JSON artifacts."""
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from retislack import Retiming, recovery
 from retislack.cli import main
 from conftest import RING3_TEXT
 
@@ -119,6 +121,30 @@ def test_budget_prime_curve_ring_checks(tmp_path, capsys):
     assert main(["budget", ckt, cur, "--check"]) == 0
     out = capsys.readouterr().out
     assert "achieved    12" in out and "total_power 19000" in out
+
+
+def _spoil(monkeypatch, stage, **changes):
+    """Make run_pipeline's `stage` return its result with these fields."""
+    real = getattr(recovery, stage)
+    monkeypatch.setattr(recovery, stage,
+                        lambda *args: dataclasses.replace(real(*args), **changes))
+
+
+@pytest.mark.parametrize("stage, changes, msg", [
+    ("ssp_oracle", {"cost": -1}, "disagrees with the cross-check -1"),
+    # an illegal retiming, not an input error
+    ("finalize", {"retiming": Retiming((5, 0, 0))},
+     "edge (0, 1): FF count -5 negative under retiming"),
+    ("finalize", {"achieved_period": 4}, "achieved period mismatch"),
+], ids=["flow_cost", "retiming", "achieved_period"])
+def test_budget_check_failure_exits_3(tmp_path, capsys, monkeypatch, stage,
+                                      changes, msg):
+    _spoil(monkeypatch, stage, **changes)
+    ckt = write(tmp_path, "r.ckt", RING3_TEXT)
+    cur = write(tmp_path, "c.json", CURVES_TEXT)
+    assert main(["budget", ckt, cur, "--check"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ") and msg in err
 
 
 def test_budget_json_document(tmp_path, capsys):

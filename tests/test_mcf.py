@@ -397,7 +397,7 @@ def test_reference_node_anchors_pipeline_flows(ring3):
             for T in (tmin, (13 * tmin + 9) // 10):
                 g = split_graph(c, T, curves)
                 net = expand(g)
-                assert g.v0 == g.n_gates and net.n_nodes == g.n_gates + 1
+                assert g.v0 == c.n and net.n_nodes == c.n + 1
                 assert all(dst != g.v0 for _, dst, _, _ in net.arcs)
                 for sol in (solve_mcf(net), ssp_oracle(net)):
                     assert all(x == 0 for (src, *_), x in zip(net.arcs, sol.flows)

@@ -1,10 +1,11 @@
 """Power-slack curves: validation, breakpoints, loading."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from retislack import (CurveError, breakpoints, load_curves, make_curve,
-                       parse_circuit)
+from retislack import (CurveError, PowerSlackCurve, breakpoints, load_curves,
+                       make_curve, parse_circuit)
 from conftest import CURVE4_PAIRS
 
 
@@ -36,6 +37,40 @@ def test_validate_rejects_bad_grids():
         make_curve([(0, 10), (10, 20)])
     with pytest.raises(CurveError, match="negative slack"):
         make_curve([(-1, 10), (10, 5)])
+
+
+def test_constructor_rejects_invalid_curves():
+    # the same rules hold for a curve built directly, not from a curve file
+    for slacks, powers, msg in (
+            ((0, 10, 20), (100, 50), "3 slack levels but 2 powers"),
+            ((), (), "empty curve"),
+            ((0, 10), (True, False), "must be integers"),
+            ((0, 1.5), (100, 50), "must be integers"),
+            ((-1, 10), (10, 5), "negative slack"),
+            ((0, 10, 10), (100, 50, 40), "not strictly increasing"),
+            ((0, 10), (100, 105), "increasing power"),
+            ((0, 10, 20), (100, 80, 30), "non-convex")):
+        with pytest.raises(CurveError, match=msg):
+            PowerSlackCurve(slacks, powers)
+
+
+def test_convexity_check_matches_rational_breakpoints():
+    # the integer cross-multiplication accepts exactly the curves whose
+    # Fraction breakpoints are nonincreasing
+    rng = random.Random(3)
+    for _ in range(2000):
+        n = rng.randint(2, 5)
+        slacks = tuple(sorted(rng.sample(range(0, 12), n)))
+        powers = tuple(sorted((rng.randint(0, 30) for _ in range(n)), reverse=True))
+        steps = [Fraction(powers[q - 1] - powers[q], slacks[q] - slacks[q - 1])
+                 for q in range(1, n)]
+        convex = all(a >= b for a, b in zip(steps, steps[1:]))
+        try:
+            cur = PowerSlackCurve(slacks, powers)
+        except CurveError as e:
+            assert not convex and "non-convex" in str(e)
+        else:
+            assert convex and breakpoints(cur) == steps
 
 
 def test_single_level_ok():

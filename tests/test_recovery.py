@@ -85,7 +85,7 @@ def test_recover_duals_feasible_on_ring(ring3):
     assert min(mu) == mu[g.v0] == 0  # the reference node sits lowest
     assert len(s1) == ring3.n and len(s2) == len(ring3.edges)
     for i in range(ring3.n):  # E1: reference node -> gate
-        gap = mu[i] - mu[g.n_gates]
+        gap = mu[i] - mu[g.v0]
         assert gap >= g.lower[i]
         assert s1[i] == min(g.upper[i], gap)
     for k, e in enumerate(ring3.edges):  # E2: the sink's window minus T*w

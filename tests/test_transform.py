@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import (Circuit, Edge, PowerSlackCurve, breakpoints, expand,
-                       generate_random, make_curve, parse_circuit, split_graph,
-                       transform)
+from retislack import (Circuit, CurveError, Edge, PowerSlackCurve, breakpoints,
+                       expand, generate_random, make_curve, parse_circuit,
+                       split_graph, transform)
 from retislack.mcf import solve_mcf
 from retislack.transform import FlowNetwork, TransformError
 from conftest import CURVE3_PAIRS, CURVE4_PAIRS, curves_for, one_edge_graph
@@ -53,7 +53,6 @@ def _e2_blocks(g, net):
 def test_split_ring3_structure(ring3):
     g = split_graph(ring3, 5, curves_for(ring3))
     assert g.circuit is ring3 and g.period == 5
-    assert g.n_gates == 3
     assert g.n_nodes == 4  # one node per gate, then the reference node v0
     assert g.v0 == 3
     assert g.nff_bar == 2 * 5  # two FFs total, period 5
@@ -188,9 +187,9 @@ def test_expand_drops_zero_capacity_arcs(ring3):
     net = expand(g)
     big = _big(g, net)
     assert all(upper > 0 for _, _, _, upper in net.arcs)
-    for i in range(g.n_gates):
-        arcs = [a for a in net.arcs if a[:2] == (g.n_gates, i)]
-        assert arcs == [(g.n_gates, i, -g.lower[i], big)]
+    for i in range(ring3.n):
+        arcs = [a for a in net.arcs if a[:2] == (g.v0, i)]
+        assert arcs == [(g.v0, i, -g.lower[i], big)]
 
 
 def test_expand_arcs_on_random_curves():
@@ -266,14 +265,13 @@ def test_expand_deterministic(ring3):
     assert expand(g) == expand(g)
 
 
-def test_expand_rejects_negative_capacity():
-    # bypass curve validation to smuggle in a concave curve (slopes 2, 5)
-    bad = PowerSlackCurve((0, 10, 20), (100, 80, 30))
-    with pytest.raises(TransformError, match="negative capacity"):
-        expand(one_edge_graph(bad))
-    # and a rising one (slope -1/2)
-    with pytest.raises(TransformError, match="negative capacity slope"):
-        expand(one_edge_graph(PowerSlackCurve((0, 10), (100, 105))))
+def test_expand_never_sees_negative_capacity():
+    # the curves that would give an E2 arc a negative capacity cannot be
+    # built: a concave one (slopes 2, 5) and a rising one (slope -1/2)
+    with pytest.raises(CurveError, match="non-convex"):
+        PowerSlackCurve((0, 10, 20), (100, 80, 30))
+    with pytest.raises(CurveError, match="increasing power"):
+        PowerSlackCurve((0, 10), (100, 105))
 
 
 def _per_gate_network(c, T, lower, slacks, slopes):
