@@ -4,8 +4,9 @@ A circuit is a directed graph of combinational gates.  Each gate carries an
 integer delay; each edge carries an integer flip-flop (FF) count.  Timing is
 propagated only along edges with zero FFs, so the zero-FF subgraph must be
 acyclic.  All times are integers, which keeps every computation in the rest
-of the pipeline exact.  `Circuit` enforces these rules (a bool is not an
-int) and the text format's name alphabet, so parse(render(c)) == c.
+of the pipeline exact.  `Gate` and `Edge` enforce their own fields' rules
+(a bool is not an int; names in the text format's alphabet), `Circuit` the
+rules across records, so parse(render(c)) == c and the reader checks syntax.
 """
 from __future__ import annotations
 
@@ -28,12 +29,22 @@ class Gate:
     name: str
     delay: int
 
+    def __post_init__(self):
+        if not (isinstance(self.name, str) and _NAME_RE.fullmatch(self.name)):
+            raise CircuitError(f"bad gate name {self.name!r}")
+        if type(self.delay) is not int or self.delay < 0:
+            raise CircuitError(f"gate {self.name}: bad delay {self.delay!r}")
+
 
 @dataclass(frozen=True)
 class Edge:
     src: int
     dst: int
     w: int  # FF count
+
+    def __post_init__(self):
+        if type(self.w) is not int or self.w < 0:
+            raise CircuitError(f"edge ({self.src!r}, {self.dst!r}): bad FF count {self.w!r}")
 
 
 @dataclass(frozen=True)
@@ -48,10 +59,6 @@ class Circuit:
         for q, g in enumerate(self.gates):
             if type(g.id) is not int or g.id != q:
                 raise CircuitError(f"gate ids must be 0..{len(self.gates) - 1} in order")
-            if not (isinstance(g.name, str) and _NAME_RE.fullmatch(g.name)):
-                raise CircuitError(f"bad gate name {g.name!r}")
-            if type(g.delay) is not int or g.delay < 0:
-                raise CircuitError(f"gate {g.name}: bad delay {g.delay!r}")
             if g.name in names:
                 raise CircuitError(f"duplicate gate name {g.name}")
             names.add(g.name)
@@ -59,8 +66,6 @@ class Circuit:
         for e in self.edges:
             if not (type(e.src) is type(e.dst) is int and 0 <= e.src < n and 0 <= e.dst < n):
                 raise CircuitError(f"edge ({e.src!r}, {e.dst!r}) references unknown gate")
-            if type(e.w) is not int or e.w < 0:
-                raise CircuitError(f"edge ({e.src}, {e.dst}): bad FF count {e.w!r}")
         arrivals(self, self.delays)  # raises on a combinational cycle
 
     @property
@@ -253,51 +258,48 @@ class IncrementalTiming:
                         heappush(heap, -pos[u])
 
 
+def _int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise CircuitError(f"bad {what} {token!r}") from None
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format.
 
     ``gate <name> <delay>`` lines followed by ``edge <src> <dst> <ff_count>``
-    lines; ``#`` starts a comment.
+    lines; ``#`` starts a comment.  Any error raised while reading line N,
+    the record constructors' too, is reported as ``line N: <message>``.
     """
     gates: list[Gate] = []
     edges: list[Edge] = []
     names: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "gate":
-            if len(parts) != 3:
-                raise CircuitError(f"line {ln}: expected 'gate <name> <delay>'")
-            name = parts[1]
-            if not _NAME_RE.fullmatch(name):
-                raise CircuitError(f"line {ln}: bad gate name {name!r}")
-            if name in names:
-                raise CircuitError(f"line {ln}: duplicate gate {name}")
-            try:
-                delay = int(parts[2])
-            except ValueError:
-                raise CircuitError(f"line {ln}: bad delay {parts[2]!r}") from None
-            if delay < 0:
-                raise CircuitError(f"line {ln}: negative delay {delay}")
-            names[name] = len(gates)
-            gates.append(Gate(len(gates), name, delay))
-        elif parts[0] == "edge":
-            if len(parts) != 4:
-                raise CircuitError(f"line {ln}: expected 'edge <src> <dst> <ff_count>'")
-            for g in (parts[1], parts[2]):
-                if g not in names:
-                    raise CircuitError(f"line {ln}: unknown gate {g!r}")
-            try:
-                w = int(parts[3])
-            except ValueError:
-                raise CircuitError(f"line {ln}: bad FF count {parts[3]!r}") from None
-            if w < 0:
-                raise CircuitError(f"line {ln}: negative FF count {w}")
-            edges.append(Edge(names[parts[1]], names[parts[2]], w))
-        else:
-            raise CircuitError(f"line {ln}: unknown record {parts[0]!r}")
+        try:
+            if parts[0] == "gate":
+                if len(parts) != 3:
+                    raise CircuitError("expected 'gate <name> <delay>'")
+                name = parts[1]
+                if name in names:
+                    raise CircuitError(f"duplicate gate name {name}")
+                gates.append(Gate(len(gates), name, _int(parts[2], "delay")))
+                names[name] = len(gates) - 1
+            elif parts[0] == "edge":
+                if len(parts) != 4:
+                    raise CircuitError("expected 'edge <src> <dst> <ff_count>'")
+                for name in parts[1:3]:
+                    if name not in names:
+                        raise CircuitError(f"unknown gate {name!r}")
+                w = _int(parts[3], "FF count")
+                edges.append(Edge(names[parts[1]], names[parts[2]], w))
+            else:
+                raise CircuitError(f"unknown record {parts[0]!r}")
+        except CircuitError as e:
+            raise CircuitError(f"line {ln}: {e}") from None
     return Circuit(tuple(gates), tuple(edges))
 
 
@@ -318,8 +320,6 @@ def generate_random(n_gates: int, edge_density: float = 2.0, ff_prob: float = 0.
     Gates are laid out in a random topological order; backward edges always
     receive an FF so the zero-FF subgraph stays acyclic.
     """
-    if n_gates < 1:
-        raise ValueError("n_gates must be >= 1")
     if not (0.0 <= ff_prob <= 1.0):
         raise ValueError("ff_prob must be in [0, 1]")
     rng = random.Random(seed)

@@ -17,10 +17,9 @@ from fractions import Fraction
 from .circuit import Circuit, CircuitError, generate_random, parse_circuit, sta
 from .exact import brute_force
 from .mcf import SolverError
-from .power import CurveError, load_curves
+from .power import load_curves
 from .recovery import InfeasiblePeriodError, RecoveryError, run_pipeline
 from .retime import feasible_retiming, min_period
-from .transform import TransformError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -45,7 +44,11 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_circuit(path: str) -> Circuit:
-    return parse_circuit(_read(path))
+    text = _read(path)
+    try:
+        return parse_circuit(text)
+    except CircuitError as e:
+        raise CircuitError(f"{path}: {e}") from None
 
 
 def cmd_sta(args) -> int:
@@ -256,7 +259,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CircuitError, CurveError, TransformError, ValueError) as e:
+    except ValueError as e:  # CircuitError, CurveError and TransformError too
         if isinstance(e, InfeasiblePeriodError):
             print(f"infeasible: {e}", file=sys.stderr)
             return EXIT_INFEASIBLE

@@ -2,13 +2,14 @@
 
 The dual distances fix a potential per dual-graph node.  Differences of
 potentials across the slack-carrying edges give edge slack values; the
-per-gate slack is the minimum of its own window value and the propagation
-values arriving over fanin edges, capped at the period.  Slacks are snapped
-down onto the discrete level grid.  The retiming does not come from the
-flow: `finalize` bisects on a uniform scaling of the snapped budget down
-towards every gate's smallest level, with one feasibility search
-(retime.feasible_retiming) per probe, and then raises levels under the
-winning retiming while static timing shows slack for them.
+per-gate slack is the minimum of its own window value, the propagation
+values arriving over fanin edges and the period.  Snapping down onto the
+discrete level grid is the one clamp into each gate's slack window.  The
+retiming does not come from the flow: `finalize` bisects on a uniform
+scaling of the snapped budget down towards every gate's smallest level,
+with one feasibility search (retime.feasible_retiming) per probe, and then
+raises levels under the winning retiming while static timing shows slack
+for them.
 """
 from __future__ import annotations
 
@@ -73,23 +74,23 @@ def recover_duals(g: DualGraph, dist: tuple[int, ...]):
     the smallest is 0; the potential difference across every gate window
     (E1, reference node -> gate) and every circuit edge (E2) must cover its
     lower bound.  Returns (mu, (s1, s2)): s1[i] is gate i's window value and
-    s2[k] circuit edge k's value, each the gap capped at the upper bound.
+    s2[k] circuit edge k's value, each the potential gap itself.
     """
     top = max(dist)
     mu = tuple(top - d for d in dist)
 
-    def capped(what: str, k: int, src: int, dst: int, shift: int) -> int:
-        # the window of gate dst, moved down by shift
-        gap = mu[dst] - mu[src]
-        if gap < g.lower[dst] - shift:
+    def gap(what: str, k: int, src: int, dst: int, shift: int) -> int:
+        # the bottom of gate dst's window, moved down by shift
+        x = mu[dst] - mu[src]
+        if x < g.lower[dst] - shift:
             raise RecoveryError(
-                f"recovered duals infeasible: {what} {k} gap {gap} below its "
+                f"recovered duals infeasible: {what} {k} gap {x} below its "
                 f"lower bound {g.lower[dst] - shift}")
-        return min(g.upper[dst] - shift, gap)
+        return x
 
     ref, T = g.v0, g.period
-    s1 = [capped("E1 edge of gate", i, ref, i, 0) for i in range(ref)]
-    s2 = [capped("E2 edge", k, e.src, e.dst, T * e.w)
+    s1 = [gap("E1 edge of gate", i, ref, i, 0) for i in range(ref)]
+    s2 = [gap("E2 edge", k, e.src, e.dst, T * e.w)
           for k, e in enumerate(g.circuit.edges)]
     return mu, (s1, s2)
 
@@ -98,25 +99,20 @@ def recover_slacks(g: DualGraph, c: Circuit, s_vals) -> list[int]:
     """Per-gate delay-plus-slack values from the recovered slack values
     (s1, s2) of recover_duals.
 
-    Each gate takes the minimum of its own window value and, over zero-or-
-    more fanin edges, the propagated value plus T per FF; capped at the
-    period, since no gate's delay plus slack can exceed it, and floored at
-    the smallest level (at most T) so snapping always succeeds.  c must be
-    g.circuit itself: a ValueError says a graph and circuit were mixed up.
+    Each gate takes the minimum of its own window value, the propagated
+    value plus T per FF over each fanin edge, and the period.  recover_duals
+    keeps each value at or above the gate's smallest level, and snap_levels
+    alone clamps it to the curve.  c must be g.circuit itself: a ValueError
+    says a graph and circuit were mixed up.
     """
     if c is not g.circuit:
         raise ValueError(
             "recover_slacks: c is not the circuit of the dual graph g")
-    T = g.period
-    s1, s2 = s_vals
-    out = []
-    for j in range(c.n):
-        val = s1[j]
-        for k in c.fanin[j]:
-            cand = s2[k] + T * c.edges[k].w
-            if cand < val:
-                val = cand
-        out.append(max(min(val, T), g.lower[j]))
+    T, (s1, s2) = g.period, s_vals
+    out = [min(v, T) for v in s1]
+    for x, e in zip(s2, c.edges):
+        if x + T * e.w < out[e.dst]:
+            out[e.dst] = x + T * e.w
     return out
 
 

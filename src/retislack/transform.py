@@ -10,11 +10,11 @@ from retime.feasible_retiming, not from the flow.  `expand` emits two arc
 classes, those of the convex-cost dual flow of Ahuja, Hochbaum & Orlin
 (Management Science 2003), straight from the circuit:
 
-  E1  n -> i           per gate: the gate's slack window [lower_i, upper_i],
-                       its delay plus its first and last slack, as one
-                       uncapacitated arc at the lower bound; curves never
-                       rise, so the flattened (Q-transformed) cost the
-                       paper puts here is a constant
+  E1  n -> i           per gate: the bottom lower_i of the gate's slack
+                       window, its delay plus its first slack, as one
+                       uncapacitated arc (the top is left to the level grid
+                       recovery snaps onto); curves never rise, so the
+                       flattened (Q-transformed) cost here is a constant
   E2  i -> j           per circuit edge: arrival propagation, cost = the
                        sink gate's curve divided by kappa_j, its window
                        shifted by -T*w
@@ -58,7 +58,6 @@ class DualGraph:
     period: int
     nff_bar: int  # N_ff * T; kept only because the traced replay reads it
     lower: tuple[int, ...]  # per gate: delay + first slack
-    upper: tuple[int, ...]  # per gate: delay + last slack
     curves: tuple[PowerSlackCurve, ...]  # per gate: its power-slack curve
     kappa: tuple[int, ...]  # per gate: zero-FF fanin edges, at least 1
 
@@ -89,9 +88,7 @@ def split_graph(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
     for e in c.edges:
         if not e.w:
             kappa[e.dst] += 1
-    return DualGraph(c, T, n_ff * T, lower,
-                     tuple(d + cur.slacks[-1] for d, cur in zip(c.delays, cs)),
-                     cs, tuple(k or 1 for k in kappa))
+    return DualGraph(c, T, n_ff * T, lower, cs, tuple(k or 1 for k in kappa))
 
 
 @dataclass(frozen=True)

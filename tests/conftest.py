@@ -38,9 +38,8 @@ def curves_for(c, pairs=None):
 def one_edge_graph(curve, kappa=1, shift=0):
     """Dual graph of a lone gate whose self-loop (one FF, period 10) is the
     one costed edge: the given curve and penalty divisor, its window
-    [first slack, last slack] moved by shift (> -10)."""
+    moved by shift (> -10)."""
     T = 10
-    s = curve.slacks
-    lo = shift + T + s[0]  # gate delay shift + T plus the first slack
+    lo = shift + T + curve.slacks[0]  # gate delay shift + T plus the first slack
     c = parse_circuit(f"gate g {shift + T}\nedge g g 1\n")
-    return DualGraph(c, T, T, (lo,), (lo + s[-1] - s[0],), (curve,), (kappa,))
+    return DualGraph(c, T, T, (lo,), (curve,), (kappa,))

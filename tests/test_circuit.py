@@ -5,6 +5,7 @@ import pytest
 
 from retislack import (Circuit, CircuitError, Edge, Gate, feasible_retiming,
                        generate_random, parse_circuit, render_circuit, sta)
+from retislack import circuit
 from retislack.circuit import IncrementalTiming
 from retislack.retime import retimed_weights
 from conftest import RING3_TEXT
@@ -42,20 +43,21 @@ def test_render_round_trip_hand_named():
 
 
 @pytest.mark.parametrize("gate, edge, msg", [
-    (Gate(0, "", 1), None, "bad gate name ''"),
-    (Gate(0, "a b", 1), None, "bad gate name 'a b'"),
-    (Gate(0, "x!", 1), None, "bad gate name 'x!'"),
-    (Gate(0, "a", 2.5), None, "bad delay 2.5"),
-    (Gate(0, "a", True), None, "bad delay True"),
-    (Gate(0, "a", -1), None, "bad delay -1"),
-    (Gate(0.0, "a", 1), None, "gate ids"),
-    (Gate(0, "a", 1), Edge(0, 0, 0.5), "bad FF count 0.5"),
-    (Gate(0, "a", 1), Edge(0.0, 0, 1), "references unknown gate"),
+    ((0, "", 1), None, "bad gate name ''"),
+    ((0, "a b", 1), None, "bad gate name 'a b'"),
+    ((0, "x!", 1), None, "bad gate name 'x!'"),
+    ((0, "a", 2.5), None, "bad delay 2.5"),
+    ((0, "a", True), None, "bad delay True"),
+    ((0, "a", -1), None, "bad delay -1"),
+    ((0.0, "a", 1), None, "gate ids"),
+    ((0, "a", 1), (0, 0, 0.5), "bad FF count 0.5"),
+    ((0, "a", 1), (0.0, 0, 1), "references unknown gate"),
 ], ids=["empty_name", "space", "bang", "float_delay", "bool_delay",
         "negative_delay", "float_id", "float_ff_count", "float_endpoint"])
 def test_constructor_rejects_what_the_text_format_cannot_hold(gate, edge, msg):
+    # the records are built inside raises: Gate and Edge check their fields
     with pytest.raises(CircuitError, match=msg):
-        Circuit((gate,), (edge,) if edge else ())
+        Circuit((Gate(*gate),), (Edge(*edge),) if edge else ())
 
 
 def test_parse_errors():
@@ -63,16 +65,43 @@ def test_parse_errors():
         parse_circuit("# nothing\n")
     with pytest.raises(CircuitError, match="line 2.*duplicate"):
         parse_circuit("gate a 1\ngate a 2\n")
-    with pytest.raises(CircuitError, match="line 1.*bad delay"):
+    with pytest.raises(CircuitError, match="line 1.*bad delay 'x'"):
         parse_circuit("gate a x\n")
-    with pytest.raises(CircuitError, match="line 1.*negative delay"):
+    with pytest.raises(CircuitError, match="line 1.*bad delay -3"):
         parse_circuit("gate a -3\n")
     with pytest.raises(CircuitError, match="line 2.*unknown gate"):
         parse_circuit("gate a 1\nedge a b 0\n")
-    with pytest.raises(CircuitError, match="line 3.*negative FF"):
+    with pytest.raises(CircuitError, match="line 3.*bad FF count -1"):
         parse_circuit("gate a 1\ngate b 1\nedge a b -1\n")
     with pytest.raises(CircuitError, match="line 1.*unknown record"):
         parse_circuit("vertex a 1\n")
+
+
+@pytest.mark.parametrize("text, line, build", [
+    ("gate a 1\ngate x! 2\n", 2, lambda: Gate(1, "x!", 2)),
+    ("gate a -3\n", 1, lambda: Gate(0, "a", -3)),
+    ("gate a 1\ngate b 1\nedge a b -1\n", 3, lambda: Edge(0, 1, -1)),
+], ids=["bad_name", "negative_delay", "negative_ff_count"])
+def test_parse_reports_the_record_constructors_message(text, line, build):
+    with pytest.raises(CircuitError) as direct:
+        build()
+    with pytest.raises(CircuitError) as parsed:
+        parse_circuit(text)
+    assert str(parsed.value) == f"line {line}: {direct.value}"
+
+
+def test_parse_checks_each_gate_name_once(monkeypatch):
+    text = render_circuit(generate_random(650, edge_density=2.2, ff_prob=0.4, seed=42))
+    name_re, calls = circuit._NAME_RE, []
+
+    class CountingRe:
+        def fullmatch(self, name):
+            calls.append(name)
+            return name_re.fullmatch(name)
+
+    monkeypatch.setattr(circuit, "_NAME_RE", CountingRe())
+    assert parse_circuit(text).n == 650
+    assert len(calls) == 650
 
 
 def test_combinational_cycle_rejected():
@@ -204,6 +233,8 @@ def test_generate_random_single_gate():
     c = generate_random(1, seed=0)
     assert c.n == 1
     assert c.edges == ()
+    with pytest.raises(CircuitError, match="no gates"):
+        generate_random(0)
 
 
 def test_generate_random_validates():

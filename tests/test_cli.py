@@ -61,6 +61,13 @@ def test_malformed_circuit_is_input_error(tmp_path, capsys):
     assert main(["sta", ckt, "--period", "5"]) == 1
 
 
+def test_bench_parse_error_names_its_file(tmp_path, capsys):
+    write(tmp_path, "good.ckt", RING3_TEXT)
+    bad = write(tmp_path, "z_bad.ckt", "gate a 1\nedge a zz 1\n")
+    assert main(["bench", "--dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 2: unknown gate 'zz'\n"
+
+
 def test_retime_reports_min_period(tmp_path, capsys):
     ckt = write(tmp_path, "r.ckt", RING3_TEXT)
     assert main(["retime", ckt]) == 0

@@ -50,8 +50,10 @@ def test_recover_slacks_floors_at_window_lower():
     c = parse_circuit("gate x 1\ngate j 2\nedge x j 0\n")
     curves = curves_for(c)
     g = split_graph(c, 40, curves)
+    j = c.gate_id("j")
     out = recover_slacks(g, c, ([1, 2], [-100]))
-    assert out[c.gate_id("j")] == 2  # delay + smallest slack
+    assert out[j] == -100  # below the window: snapping is the one clamp
+    assert snap_levels(out, curves, c.delays).levels[j] == 0  # smallest slack
 
 
 def test_snap_levels_floor_to_grid(curve4):
@@ -87,11 +89,11 @@ def test_recover_duals_feasible_on_ring(ring3):
     for i in range(ring3.n):  # E1: reference node -> gate
         gap = mu[i] - mu[g.v0]
         assert gap >= g.lower[i]
-        assert s1[i] == min(g.upper[i], gap)
+        assert s1[i] == gap
     for k, e in enumerate(ring3.edges):  # E2: the sink's window minus T*w
         gap = mu[e.dst] - mu[e.src]
         assert gap >= g.lower[e.dst] - 5 * e.w
-        assert s2[k] == min(g.upper[e.dst] - 5 * e.w, gap)
+        assert s2[k] == gap
 
 
 def test_recover_duals_rejects_violated_lower_bounds(ring3):

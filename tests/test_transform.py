@@ -60,11 +60,10 @@ def test_split_ring3_structure(ring3):
 
 def test_split_ring3_bounds(ring3):
     g = split_graph(ring3, 5, curves_for(ring3))
-    # window = delay + [first slack, last slack]
-    assert list(zip(g.lower, g.upper)) == [(2, 35), (3, 36), (4, 37)]
+    # window bottom = delay + first slack
+    assert g.lower == (2, 3, 4)
     # sink gate window shifted down by T per FF on the circuit edge
-    assert [(g.lower[e.dst] - 5 * e.w, g.upper[e.dst] - 5 * e.w)
-            for e in ring3.edges] == [(3, 36), (-1, 32), (-3, 30)]
+    assert [g.lower[e.dst] - 5 * e.w for e in ring3.edges] == [3, -1, -3]
 
 
 def test_split_self_loop_bounds():
