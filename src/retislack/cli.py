@@ -17,7 +17,7 @@ from fractions import Fraction
 from .circuit import Circuit, CircuitError, generate_random, parse_circuit, sta
 from .exact import brute_force
 from .mcf import SolverError
-from .power import load_curves
+from .power import CurveError, PowerSlackCurve, load_curves
 from .recovery import InfeasiblePeriodError, RecoveryError, run_pipeline
 from .retime import feasible_retiming, min_period
 
@@ -51,21 +51,33 @@ def _load_circuit(path: str) -> Circuit:
         raise CircuitError(f"{path}: {e}") from None
 
 
+def _load_curves(path: str, c: Circuit) -> dict[int, PowerSlackCurve]:
+    text = _read(path)
+    try:
+        return load_curves(text, c)
+    except CurveError as e:
+        raise CurveError(f"{path}: {e}") from None
+
+
 def cmd_sta(args) -> int:
     c = _load_circuit(args.circuit)
     eff = list(c.delays)
     if args.slacks:
-        doc = json.loads(_read(args.slacks))
-        if not isinstance(doc, dict):
-            raise CircuitError("slack file must be a JSON object")
-        for name, s in doc.items():
-            try:
-                j = c.gate_id(name)
-            except KeyError:
-                raise CircuitError(f"slack file names unknown gate {name!r}") from None
-            if isinstance(s, bool) or not isinstance(s, int):
-                raise CircuitError(f"slack for {name!r} is not an integer")
-            eff[j] += s
+        text = _read(args.slacks)
+        try:
+            doc = json.loads(text)
+            if not isinstance(doc, dict):
+                raise CircuitError("slack file must be a JSON object")
+            for name, s in doc.items():
+                try:
+                    j = c.gate_id(name)
+                except KeyError:
+                    raise CircuitError(f"slack file names unknown gate {name!r}") from None
+                if isinstance(s, bool) or not isinstance(s, int):
+                    raise CircuitError(f"slack for {name!r} is not an integer")
+                eff[j] += s
+        except ValueError as e:  # json.JSONDecodeError and CircuitError
+            raise CircuitError(f"{args.slacks}: {e}") from None
     rep = sta(c, args.period, eff)
     print(f"{'gate':<12}{'arrival':>8}{'required':>9}{'slack':>7}")
     for g in c.gates:
@@ -96,7 +108,7 @@ def cmd_retime(args) -> int:
 
 def cmd_budget(args) -> int:
     c = _load_circuit(args.circuit)
-    curves = load_curves(_read(args.curves), c)
+    curves = _load_curves(args.curves, c)
     t0 = time.perf_counter()
     result = run_pipeline(c, curves, T=args.period, check=args.check)
     runtime = time.perf_counter() - t0
@@ -124,6 +136,7 @@ def cmd_budget(args) -> int:
                 "tmin": diag["tmin"],
                 "repair_steps": len(diag["repair_steps"]),
                 "solver_iterations": diag["solver_iterations"],
+                "solver_phases": diag["solver_phases"],
                 "flow_cost": diag["flow_cost"],
                 "snap_power": str(diag["snap_power"]),
                 "fill_steps": diag["fill_steps"],
@@ -161,11 +174,11 @@ def cmd_bench(args) -> int:
                           generate_random(n, edge_density=1.8, ff_prob=0.4,
                                           seed=args.seed * 10007 + i)))
     cases.sort(key=lambda t: t[0])
-    default_curve = _read(args.levels) if args.levels else json.dumps(
-        {"default": [[0, 100], [10, 60], [20, 30], [33, 10]]})
+    default_curve = json.dumps({"default": [[0, 100], [10, 60], [20, 30], [33, 10]]})
     rows = []
     for name, c in cases:
-        curves = load_curves(default_curve, c)
+        curves = (_load_curves(args.levels, c) if args.levels
+                  else load_curves(default_curve, c))
         t0 = time.perf_counter()
         result = run_pipeline(c, curves, check=args.check)
         ms = (time.perf_counter() - t0) * 1000.0

@@ -13,9 +13,11 @@ the zero flow at zero prices is epsilon-optimal (Goldberg, J. Algorithms
 1997), so a network with no negative arc cost takes no phase at all.  It
 bundles the parallel arcs of each (src, dst) pair into one convex
 piecewise-linear arc, kept as one residual pair: the cheapest segment with
-room forward, the costliest with flow backward.  Costs are internally
-multiplied by (nodes + 1), so the 1-optimal flow it ends with is exactly
-optimal.
+room forward, the costliest with flow backward.  Before each phase, price
+refinement (Goldberg 1997, section 5) looks for prices under which the
+current flow is already epsilon-optimal; when they exist it takes them and
+skips the phase.  Costs are internally multiplied by (nodes + 1), so the
+1-optimal flow it ends with is exactly optimal.
 ssp_oracle is an independent primal-dual successive-shortest-path solver
 used for cross-checking; it sees every live arc unbundled.  Its node
 potentials keep every residual reduced cost >= 0, so each phase is one
@@ -30,6 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
+from .retime import _parent_cycle
 from .transform import FlowNetwork
 
 
@@ -42,6 +45,7 @@ class FlowSolution:
     flows: tuple[int, ...]  # per input arc
     cost: int
     iterations: int
+    phases: int
 
 
 def _live_arcs(net: FlowNetwork) -> list[bool]:
@@ -162,7 +166,7 @@ class _Bundles:
 
 def solve_mcf(net: FlowNetwork) -> FlowSolution:
     """Optimal integral circulation by cost scaling; `iterations` counts
-    relabels."""
+    relabels and `phases` the scaling phases run (not skipped)."""
     n = net.n_nodes
     mult = n + 1
     r = _Bundles(net, cost_mult=mult)
@@ -272,6 +276,46 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
             p[v] -= eps * (K if dv is None or dv > K else dv)
             cur[v] = 0  # arcs may have turned admissible
 
+    def refine_prices(eps: int) -> bool:
+        # Price refinement (Goldberg 1997, section 5): the current flow is
+        # eps-optimal under some prices exactly when no residual cycle is
+        # negative under the lengths c_p(u,v) + eps.  A FIFO label-correcting
+        # search over the residual entries, every node starting at distance
+        # 0 (a virtual source with a zero-length arc to each), finds d with
+        # d(v) <= d(u) + c_p(u,v) + eps on every residual entry, so p + d
+        # makes every reduced cost >= -eps; the entries carry the least
+        # reduced cost of each direction of their group (see above), so the
+        # expanded arcs satisfy it too.  A cycle of parent pointers is a
+        # negative cycle, and so is a queue left after n passes (the
+        # Bellman-Ford bound): then the phase is needed and p is untouched.
+        d = [0] * n
+        parent = [-1] * n
+        queued = [True] * n
+        q = range(n)
+        for _ in range(n):
+            nxt = []
+            for u in q:
+                queued[u] = False
+                du = d[u] + p[u] + eps
+                for a in adj[u]:
+                    if res[a] > 0:
+                        v = head[a]
+                        nd = du + cost[a] - p[v]
+                        if nd < d[v]:
+                            d[v] = nd
+                            parent[v] = u
+                            if not queued[v]:
+                                queued[v] = True
+                                nxt.append(v)
+            if not nxt:
+                for v in range(n):
+                    p[v] += d[v]
+                return True
+            if _parent_cycle(parent, nxt):
+                return False
+            q = nxt
+        return False
+
     def refine(eps: int) -> None:
         nonlocal iterations
         # saturate every residual arc with negative reduced cost; an entry
@@ -336,11 +380,14 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
             cur[u] = i
             p[u] = pu
 
+    phases = 0
     while eps > 1:
         eps = max(1, eps // 8)
-        refine(eps)
+        if not refine_prices(eps):
+            refine(eps)
+            phases += 1
     flows = r.flows(net)
-    return FlowSolution(flows, _solution_cost(net, flows), iterations)
+    return FlowSolution(flows, _solution_cost(net, flows), iterations, phases)
 
 
 def ssp_oracle(net: FlowNetwork) -> FlowSolution:
@@ -352,7 +399,7 @@ def ssp_oracle(net: FlowNetwork) -> FlowSolution:
     nearest deficit, raises the potentials by the distances (capped at that
     deficit's), and drains excess along every zero-reduced-cost residual
     path it can find (Ahuja, Magnanti & Orlin, Network Flows, 1993, 9.7).
-    `iterations` counts augmenting paths.
+    `iterations` counts augmenting paths and `phases` Dijkstra searches.
     """
     n = net.n_nodes
     r = _Residual(net)
@@ -365,15 +412,16 @@ def ssp_oracle(net: FlowNetwork) -> FlowSolution:
             excess[src] -= upper
             excess[dst] += upper
     pi = [0] * n
-    iterations = 0
+    iterations = phases = 0
     while any(e > 0 for e in excess):
         _raise_potentials(r, pi, excess)
         paths = _drain(r, pi, excess)
         if not paths:
             raise SolverError("no tight augmenting path after a Dijkstra phase")
         iterations += paths
+        phases += 1
     flows = r.flows(net)
-    return FlowSolution(flows, _solution_cost(net, flows), iterations)
+    return FlowSolution(flows, _solution_cost(net, flows), iterations, phases)
 
 
 def _raise_potentials(r: _Residual, pi: list, excess: list) -> None:

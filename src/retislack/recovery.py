@@ -223,6 +223,7 @@ def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
         "sbar": tuple(sbar),
         "flow_cost": sol.cost,
         "solver_iterations": sol.iterations,
+        "solver_phases": sol.phases,
     })
     if check:
         oracle = ssp_oracle(net)

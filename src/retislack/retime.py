@@ -44,7 +44,7 @@ def retimed_weights(c: Circuit, r: Retiming) -> list[int]:
 
 def _parent_cycle(parent: list[int], starts) -> bool:
     """True when the parent pointers reached from `starts` close a cycle."""
-    walk = {}  # gate -> the start whose walk visited it
+    walk = {}  # node -> the start whose walk visited it
     for s in starts:
         v = s
         while v >= 0 and v not in walk:

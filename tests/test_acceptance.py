@@ -190,14 +190,15 @@ def test_criterion_8_scale(tmp_path):
     # gate, potentials anchored at the reference node; bisection of the
     # snapped budget, then the fill; relabels of the solver with eps / 8 per
     # phase from the largest negative cost of an arc some circulation can
-    # use, global price updates, one residual pair per group of parallel arcs
-    # and no arc out of the reference node); any change to it must be
-    # explained
+    # use, global price updates, one residual pair per group of parallel arcs,
+    # no arc out of the reference node, and price refinement before each
+    # phase); any change to it must be explained
     doc = json.loads(out_path.read_text()) if code == 0 else {}
     got = (doc.get("period"), doc.get("achieved_period"), doc.get("total_power"),
            doc.get("diagnostics"))
     want = (21, 21, "54410", {"tmin": 21, "repair_steps": 151,
-                              "solver_iterations": 15213,
+                              "solver_iterations": 11963,
+                              "solver_phases": 4,
                               "flow_cost": -28968017,
                               "snap_power": "52760",
                               "fill_steps": 249, "probes": 3})

@@ -41,14 +41,18 @@ def test_sta_with_extra_slack(tmp_path, capsys):
 
 
 def test_sta_bad_slack_file_is_input_error(tmp_path, capsys):
+    # one error line that names the slack file
     ckt = write(tmp_path, "r.ckt", RING3_TEXT)
     for text, msg in (('{"zz": 1}', "unknown gate 'zz'"),
                       ("[1, 2]", "must be a JSON object"),
                       ('{"a": null}', "not an integer"),
-                      ('{"a": 1.5}', "not an integer")):
+                      ('{"a": 1.5}', "not an integer"),
+                      ('{"a": ', "Expecting value")):
         slacks = write(tmp_path, "s.json", text)
         assert main(["sta", ckt, "--period", "7", "--slacks", slacks]) == 1
-        assert msg in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {slacks}: ")
+        assert msg in err[0]
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):
@@ -111,7 +115,14 @@ def test_budget_fractional_power_is_input_error(tmp_path, capsys):
     cur = write(tmp_path, "c.json",
                 '{"default": [[0, 100.1], [10, 60], [20, 30.3], [33, 10]]}')
     assert main(["budget", ckt, cur]) == 1
-    assert "error: curve for 'default'" in capsys.readouterr().err
+    assert f"error: {cur}: curve for 'default'" in capsys.readouterr().err
+
+
+def test_bench_bad_levels_file_names_it(tmp_path, capsys):
+    levels = write(tmp_path, "c.json", '{"default": [[0, 10], [5, 20]]}')
+    assert main(["bench", "--gen", "1", "--levels", levels]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {levels}: curve for 'default': increasing power at slack 5\n")
 
 
 def test_budget_prime_curve_ring_checks(tmp_path, capsys):
@@ -168,10 +179,12 @@ def test_budget_json_document(tmp_path, capsys):
     assert set(doc["retiming"]) == {"a", "b", "c"}
     diag = doc["diagnostics"]
     assert set(diag) == {"tmin", "repair_steps", "solver_iterations",
-                         "flow_cost", "snap_power", "fill_steps", "probes"}
+                         "solver_phases", "flow_cost", "snap_power",
+                         "fill_steps", "probes"}
     assert diag["tmin"] == 5
     assert isinstance(diag["repair_steps"], int) and diag["repair_steps"] >= 0
     assert isinstance(diag["solver_iterations"], int)
+    assert isinstance(diag["solver_phases"], int) and diag["solver_phases"] >= 0
     assert isinstance(diag["flow_cost"], int)
     assert isinstance(diag["fill_steps"], int) and diag["fill_steps"] >= 0
     assert 1 <= diag["probes"] <= 12

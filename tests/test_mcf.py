@@ -160,7 +160,7 @@ def test_residual_potentials_raise_on_a_feasible_flow_that_is_not_optimal():
     sol = solve_mcf(net)
     assert sol.flows == (3, 1, 4)
     assert residual_potentials(net, sol, 0, sentinel=-1) == (0, -2)
-    bad = FlowSolution((2, 2, 4), sol.cost + 3, 0)
+    bad = FlowSolution((2, 2, 4), sol.cost + 3, 0, 0)
     verify_circulation(net, bad)
     with pytest.raises(SolverError, match="negative cycle"):
         residual_potentials(net, bad, 0, sentinel=-1)
@@ -187,7 +187,7 @@ def test_residual_potentials_raise_on_a_pipeline_flow_moved_off_optimum():
                   if (src2, dst2) == (src, dst) and cost2 > cost and flows[k] < upper2)
     flows[lo] -= 1
     flows[hi] += 1
-    bad = FlowSolution(tuple(flows), sol.cost + arcs[hi][2] - arcs[lo][2], 0)
+    bad = FlowSolution(tuple(flows), sol.cost + arcs[hi][2] - arcs[lo][2], 0, 0)
     verify_circulation(net, bad)
     with pytest.raises(SolverError, match="negative cycle"):
         residual_potentials(net, bad, g.v0, sentinel=g.nff_bar)
@@ -197,17 +197,28 @@ def test_verify_rejects_bad_solutions():
     net = net_of([(0, 1, -5, 3), (1, 0, 1, 10)], 2)
     for flows in ((4, 4), (-1, -1)):
         with pytest.raises(SolverError, match="outside bounds"):
-            verify_circulation(net, FlowSolution(flows, 0, 0))
+            verify_circulation(net, FlowSolution(flows, 0, 0, 0))
     with pytest.raises(SolverError, match="conservation"):
-        verify_circulation(net, FlowSolution((3, 2), 0, 0))
+        verify_circulation(net, FlowSolution((3, 2), 0, 0, 0))
     with pytest.raises(SolverError, match="not optimal"):
-        verify_optimal(net, FlowSolution((0, 0), 0, 0))
+        verify_optimal(net, FlowSolution((0, 0), 0, 0, 0))
 
 
 def test_solver_statistics_present():
     net = net_of([(0, 1, -5, 3), (1, 0, 1, 10)], 2)
     sol = solve_mcf(net)
     assert sol.iterations >= 0
+    assert sol.phases >= 1  # the zero flow is not optimal: flow must move
+
+
+def test_price_refinement_skips_phases_an_optimal_flow_needs_not():
+    # the only cycle costs -5 + 10 > 0, so the zero flow is optimal; cost
+    # scaling still starts at eps = 5 (times n + 1), but prices that make the
+    # zero flow eps-optimal exist at every eps, and no phase runs
+    net = net_of([(0, 1, -5, 3), (1, 0, 10, 3)], 2)
+    sol = solve_mcf(net)
+    assert (sol.flows, sol.cost) == ((0, 0), 0)
+    assert (sol.phases, sol.iterations) == (0, 0)
 
 
 BIG = 2**40  # beyond the capacity `big` of any benchmark network
@@ -377,6 +388,28 @@ def test_oracle_matches_on_mixed_curve_pipeline_networks():
         # was found, so the recovered budget does not depend on the solver
         dist = residual_potentials(net, a, g.v0, g.nff_bar)
         assert dist == residual_potentials(net, b, g.v0, g.nff_bar)
+
+
+def test_pipeline_potentials_do_not_depend_on_the_optimal_flow():
+    # every optimal flow has the same set of optimal duals, so the distances
+    # from v0 read off solve_mcf's flow (whose phases price refinement may
+    # skip) equal those off the oracle's, also where the two flows differ
+    rng = random.Random(2323)
+    differ = 0
+    for i in range(60):
+        c = generate_random(rng.randint(6, 60), edge_density=2.2, ff_prob=0.4,
+                            seed=2300 + i)
+        curves = curves_for(c)
+        tmin, _ = min_slack_period(c, curves)
+        for T in (tmin, tmin + 3):
+            g = split_graph(c, T, curves)
+            net = expand(g)
+            a = solve_mcf(net)
+            b = ssp_oracle(net)
+            assert (residual_potentials(net, a, g.v0, g.nff_bar)
+                    == residual_potentials(net, b, g.v0, g.nff_bar))
+            differ += a.flows != b.flows
+    assert differ > 0
 
 
 def test_reference_node_anchors_pipeline_flows(ring3):
