@@ -76,6 +76,8 @@ def cmd_sta(args) -> int:
                 if isinstance(s, bool) or not isinstance(s, int):
                     raise CircuitError(f"slack for {name!r} is not an integer")
                 eff[j] += s
+                if eff[j] < 0:
+                    raise CircuitError(f"gate {name}: negative effective delay")
         except ValueError as e:  # json.JSONDecodeError and CircuitError
             raise CircuitError(f"{args.slacks}: {e}") from None
     rep = sta(c, args.period, eff)
@@ -95,13 +97,11 @@ def cmd_retime(args) -> int:
     if args.period is None:
         tmin, r = min_period(c)
         print(f"Tmin {tmin}")
-        print("retiming " + " ".join(
-            f"{g.name}={r.labels[g.id]}" for g in c.gates))
-        return EXIT_OK
-    r = feasible_retiming(c, args.period)
-    if r is None:
-        print("infeasible")
-        return EXIT_INFEASIBLE
+    else:
+        r = feasible_retiming(c, args.period)
+        if r is None:
+            print("infeasible")
+            return EXIT_INFEASIBLE
     print("retiming " + " ".join(f"{g.name}={r.labels[g.id]}" for g in c.gates))
     return EXIT_OK
 

@@ -6,7 +6,7 @@ convex in slack: the segment slope magnitudes (the breakpoints, exact
 rationals) are nonincreasing from left to right.  The constructor enforces
 all of this, so every curve is valid.  Every gate that uses the same
 curve-file entry gets the same object.  Curves compare and hash by value,
-and `transform` expands each distinct curve and penalty divisor once.
+and `transform` expands each distinct curve once.
 """
 from __future__ import annotations
 

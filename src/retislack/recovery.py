@@ -203,6 +203,8 @@ def min_slack_period(c: Circuit, curves: dict[int, PowerSlackCurve]):
 def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
                  T: int | None = None, check: bool = False) -> BudgetResult:
     """Full budgeting flow: split, expand, solve, recover, snap, finalize."""
+    if T is not None and type(T) is not int:
+        raise ValueError(f"period must be an integer, got {T!r}")
     tmin, _ = min_slack_period(c, curves)
     if T is None:
         T = tmin

@@ -1,8 +1,7 @@
 """Dual graph and its expansion into a min-cost circulation.
 
 The dual graph is the circuit at period T plus what the paper attaches to
-each gate: its slack window, its power-slack curve and its penalty divisor
-kappa, the number of its zero-FF fanin edges (at least 1).  Every gate i is
+each gate: its slack window and its power-slack curve.  Every gate i is
 one node i carrying its scaled arrival variable; one reference node v0 = n
 is the common tail of the slack windows and anchors the potentials.  There
 are no retiming-label nodes or label-legality edges: the retiming comes
@@ -16,22 +15,20 @@ classes, those of the convex-cost dual flow of Ahuja, Hochbaum & Orlin
                        recovery snaps onto); curves never rise, so the
                        flattened (Q-transformed) cost here is a constant
   E2  i -> j           per circuit edge: arrival propagation, cost = the
-                       sink gate's curve divided by kappa_j, its window
-                       shifted by -T*w
+                       sink gate's curve, its window shifted by -T*w
 
 The reference node has only out-arcs, so in every circulation its E1 arcs
 carry no flow and keep room, and every gate is reached from it in the
 residual network.
 
 Every fanin edge of gate j carries the same cost up to its shift, and so
-does every fanin edge of a gate with an equal curve and kappa.  `expand`
-groups the sink gates by the value (curve, kappa) and builds one template
-per group: one parallel arc per usable curve level, at the level's slack
-offset, its capacity the drop between consecutive breakpoints over kappa,
-times D; a level whose drop is zero gives no arc.  D is the lcm of the
-reduced denominators of the slopes over kappa, read off integer pairs
-(power drop, slack step * kappa).  Curves are convex and never rise by
-construction, so no capacity is negative.  Each
+does every fanin edge of a gate with an equal curve.  `expand` groups the
+sink gates by curve and builds one template per distinct curve: one
+parallel arc per usable curve level, at the level's slack offset, its
+capacity the drop between consecutive breakpoints, times D; a level whose
+drop is zero gives no arc.  D is the lcm of the reduced denominators of
+the slopes, read off integer pairs (power drop, slack step).  Curves are
+convex and never rise by construction, so no capacity is negative.  Each
 circuit edge emits its sink's template at arc cost -(lower_j - T*w +
 offset).  The result is a pure circulation instance with all lower bounds
 zero and no zero-capacity arc; each arc is a plain tuple
@@ -59,7 +56,6 @@ class DualGraph:
     nff_bar: int  # N_ff * T; kept only because the traced replay reads it
     lower: tuple[int, ...]  # per gate: delay + first slack
     curves: tuple[PowerSlackCurve, ...]  # per gate: its power-slack curve
-    kappa: tuple[int, ...]  # per gate: zero-FF fanin edges, at least 1
 
     @property
     def n_nodes(self) -> int:
@@ -84,11 +80,7 @@ def split_graph(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
         if lo > T:
             raise TransformError(
                 f"gate {c.gates[i].name}: delay plus minimum slack {lo} exceeds period {T}")
-    kappa = [0] * c.n
-    for e in c.edges:
-        if not e.w:
-            kappa[e.dst] += 1
-    return DualGraph(c, T, n_ff * T, lower, cs, tuple(k or 1 for k in kappa))
+    return DualGraph(c, T, n_ff * T, lower, cs)
 
 
 @dataclass(frozen=True)
@@ -121,14 +113,14 @@ def expand(g: DualGraph) -> FlowNetwork:
     """Expand the dual graph into an integer min-cost circulation network."""
     c, T, lower = g.circuit, g.period, g.lower
     fanins = Counter(e.dst for e in c.edges)
-    # sink gates with an equal curve and kappa share one template
-    groups: dict[tuple[PowerSlackCurve, int], list[int]] = {}
+    # sink gates with an equal curve share one template
+    groups: dict[PowerSlackCurve, list[int]] = {}
     for j in fanins:
-        groups.setdefault((g.curves[j], g.kappa[j]), []).append(j)
-    # each slope b(q) / kappa as the integer pair (power drop, slack step * kappa)
-    slopes = [[(p0 - p1, (s1 - s0) * kappa) for s0, s1, p0, p1 in
+        groups.setdefault(g.curves[j], []).append(j)
+    # each slope b(q) as the integer pair (power drop, slack step)
+    slopes = [[(p0 - p1, s1 - s0) for s0, s1, p0, p1 in
                zip(cur.slacks, cur.slacks[1:], cur.powers, cur.powers[1:])]
-              for cur, kappa in groups]
+              for cur in groups]
     scale = math.lcm(1, *(den // math.gcd(num, den) for bs in slopes for num, den in bs))
     scaled = [[num * scale // den for num, den in bs] for bs in slopes]
     total = sum(sum(fanins[j] for j in js) * sum(xs)
@@ -136,7 +128,7 @@ def expand(g: DualGraph) -> FlowNetwork:
     # (1 + ceil(total / D)) * D: more than any E2 edge can carry
     big = (1 - -total // scale) * scale
     templates = {}
-    for ((cur, _), js), xs in zip(groups.items(), scaled):
+    for (cur, js), xs in zip(groups.items(), scaled):
         t = _template(cur.slacks, xs, big)
         templates.update((j, t) for j in js)
 

@@ -35,11 +35,10 @@ def curves_for(c, pairs=None):
     return {g.id: cur for g in c.gates}
 
 
-def one_edge_graph(curve, kappa=1, shift=0):
+def one_edge_graph(curve, shift=0):
     """Dual graph of a lone gate whose self-loop (one FF, period 10) is the
-    one costed edge: the given curve and penalty divisor, its window
-    moved by shift (> -10)."""
+    one costed edge: the given curve, its window moved by shift (> -10)."""
     T = 10
     lo = shift + T + curve.slacks[0]  # gate delay shift + T plus the first slack
     c = parse_circuit(f"gate g {shift + T}\nedge g g 1\n")
-    return DualGraph(c, T, T, (lo,), (curve,), (kappa,))
+    return DualGraph(c, T, T, (lo,), (curve,))

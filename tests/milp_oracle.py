@@ -9,7 +9,8 @@ the FF count of `retimed_weights` (with one FF or more the row is slack,
 as a_u <= T).  Objective: sum_q p_q x_iq, solved by scipy/HiGHS.
 
 As a script: `run_pipeline` against the optimum on 40- and 50-gate circuits
-at Tmin and ceil(1.3 Tmin); exits 1 if any pipeline power is below it.
+at Tmin and ceil(1.3 Tmin); exits 1 if any pipeline power is below it or
+the mean excess over it is above 10%.
 """
 import sys
 
@@ -65,6 +66,7 @@ if __name__ == "__main__":
             excess.append(power / opt - 1)
             print(f"{n} gates, seed {seed}, T = {T}: power {power}, optimum {opt}")
     below = sum(x < 0 for x in excess)
+    mean = sum(excess) / len(excess)
     print(f"{len(excess)} cases, {below} below the optimum, mean excess "
-          f"{100 * sum(excess) / len(excess):.1f}%, max {100 * max(excess):.1f}%")
-    sys.exit(1 if below else 0)
+          f"{100 * mean:.1f}% (bound 10%), max {100 * max(excess):.1f}%")
+    sys.exit(1 if below or mean > 0.10 else 0)

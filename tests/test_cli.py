@@ -47,6 +47,7 @@ def test_sta_bad_slack_file_is_input_error(tmp_path, capsys):
                       ("[1, 2]", "must be a JSON object"),
                       ('{"a": null}', "not an integer"),
                       ('{"a": 1.5}', "not an integer"),
+                      ('{"a": -5}', "gate a: negative effective delay"),
                       ('{"a": ', "Expecting value")):
         slacks = write(tmp_path, "s.json", text)
         assert main(["sta", ckt, "--period", "7", "--slacks", slacks]) == 1

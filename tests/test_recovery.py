@@ -202,6 +202,13 @@ def test_pipeline_rejects_period_below_minimum(ring3):
         run_pipeline(ring3, curves_for(ring3), T=4)
 
 
+@pytest.mark.parametrize("T", [7.5, True], ids=["float", "bool"])
+def test_pipeline_rejects_a_period_that_is_not_an_integer(ring3, T):
+    # 7.5 would run and report period 7.5; True would run as period 1
+    with pytest.raises(ValueError, match="period must be an integer"):
+        run_pipeline(ring3, curves_for(ring3), T=T, check=True)
+
+
 def test_pipeline_generous_period_grants_slack(ring3):
     curves = curves_for(ring3)
     res = run_pipeline(ring3, curves, T=200, check=True)

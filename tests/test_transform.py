@@ -15,21 +15,10 @@ from conftest import CURVE3_PAIRS, CURVE4_PAIRS, curves_for, one_edge_graph
 from test_mcf import _mixed_curve
 
 
-def _fanin_walk_kappa(c, j):
-    """Reference penalty divisor: walk gate j's fanin list and count its
-    zero-FF edges, at least 1."""
-    return max(1, sum(1 for e in c.fanin[j] if c.edges[e].w == 0))
-
-
-def _slopes(g, j):
-    """Gate j's breakpoints divided by its penalty divisor."""
-    return [b / g.kappa[j] for b in breakpoints(g.curves[j])]
-
-
 def _big(g, net):
     """Capacity of the uncapacitated arcs: D times one more than the sum of
     every costed edge's slopes, more than any E2 edge can carry."""
-    total = sum(sum(_slopes(g, e.dst)) for e in g.circuit.edges)
+    total = sum(sum(breakpoints(g.curves[e.dst])) for e in g.circuit.edges)
     return (1 + math.ceil(total)) * net.scale
 
 
@@ -75,52 +64,19 @@ def test_split_self_loop_bounds():
     assert g.lower[e.dst] - 10 * e.w == 6 + 0 - 10
 
 
-def test_split_keeps_each_gates_levels_and_slopes_over_kappa():
-    # d has two zero-FF fanins (kappa 2); every gate keeps its curve, and its
-    # slopes over kappa times its slack gaps add up to its power drop over kappa
+def test_split_keeps_each_gates_curve():
+    # d has two zero-FF fanins; every gate keeps its curve as it is, and its
+    # slopes times its slack gaps add up to its whole power drop
     c = parse_circuit("gate a 1\ngate b 2\ngate d 3\n"
                       "edge a d 0\nedge b d 0\nedge d a 1\n")
     curves = curves_for(c)
     g = split_graph(c, 20, curves)
     assert g.curves == tuple(curves[j] for j in range(c.n))
-    assert g.kappa == (1, 1, 2)
     for j in range(c.n):
         s, p = curves[j].slacks, curves[j].powers
-        drop = sum(b * (s[q + 1] - s[q]) for q, b in enumerate(_slopes(g, j)))
-        assert drop == Fraction(p[0] - p[-1], g.kappa[j])
-    assert _slopes(g, c.gate_id("d")) == [2, Fraction(3, 2), Fraction(10, 13)]
-
-
-def test_penalty_divisor_counts_zero_ff_fanins():
-    c = parse_circuit(
-        "gate a 1\ngate b 1\ngate c 1\ngate d 1\n"
-        "edge a d 0\nedge b d 1\nedge c d 0\n")
-    g = split_graph(c, 40, curves_for(c))
-    assert g.kappa[c.gate_id("d")] == 2
-    assert g.kappa[c.gate_id("a")] == 1  # no fanins, clamped
-
-
-def test_penalty_divisor_mixed():
-    c = parse_circuit("gate a 1\ngate b 1\nedge a b 0\nedge a b 1\n")
-    assert split_graph(c, 40, curves_for(c)).kappa == (1, 1)
-
-
-def test_kappa_matches_fanin_walk():
-    # one pass over the edges counts what walking each gate's fanin list
-    # counts, with self-loops, duplicate edges and gates with no fanin
-    rng = random.Random(39)
-    seen = Counter()
-    for seed in range(40):
-        c = generate_random(rng.randint(2, 40), edge_density=rng.uniform(0.5, 2.4),
-                            ff_prob=0.4, seed=seed)
-        dups = tuple(rng.sample(c.edges, min(len(c.edges), rng.randint(0, 4))))
-        c = _with_self_loops(Circuit(c.gates, c.edges + dups), rng)
-        g = split_graph(c, sum(c.delays) + 40, curves_for(c))
-        assert g.kappa == tuple(_fanin_walk_kappa(c, j) for j in range(c.n))
-        seen["duplicate zero-FF edge"] += any(e.w == 0 for e in dups)
-        seen["no fanin"] += any(not c.fanin[j] for j in range(c.n))
-        seen["kappa > 1"] += max(g.kappa) > 1
-    assert min(seen.values()) > 0 and len(seen) == 3
+        drop = sum(b * (s[q + 1] - s[q]) for q, b in enumerate(breakpoints(g.curves[j])))
+        assert drop == p[0] - p[-1]
+    assert breakpoints(g.curves[c.gate_id("d")]) == [4, 3, Fraction(20, 13)]
 
 
 def test_split_rejects_impossible_period(ring3):
@@ -164,7 +120,7 @@ def _e2_caps_rebuild_breakpoints(g, net):
         cap_at = {q: upper for q, (_, _, _, upper) in zip(levels, arcs)}
         caps = [cap_at.get(q, 0) for q in reversed(range(L))]
         rebuilt = [Fraction(sum(caps[:seg + 1]), D) for seg in range(L - 1)]
-        assert rebuilt == list(reversed(_slopes(g, e.dst)))
+        assert rebuilt == list(reversed(breakpoints(g.curves[e.dst])))
 
 
 def test_expand_caps_reconstruct_breakpoints(ring3):
@@ -227,6 +183,23 @@ def test_expand_repeats_the_sink_template_per_fanin():
     for w in (1, 2):
         assert [u for _, u in arcs[w]] == [u for _, u in arcs[0]]
         assert [a - b for (a, _), (b, _) in zip(arcs[w], arcs[0])] == [T * w] * 4
+
+
+def test_expand_template_ignores_the_sink_fanin_count():
+    # d has two zero-FF fanins and a, b and e one each, all with one curve:
+    # every fanin edge carries the same (offset, capacity) template, up to
+    # its own shift
+    c = parse_circuit("gate a 1\ngate b 2\ngate d 3\ngate e 4\n"
+                      "edge a d 0\nedge b d 0\nedge a e 0\n"
+                      "edge d a 1\nedge e b 1\n")
+    g = split_graph(c, 40, curves_for(c))
+    net = expand(g)
+    templates = []
+    for e, arcs in zip(c.edges, _e2_blocks(g, net)):
+        shift = g.lower[e.dst] - g.period * e.w
+        templates.append([(-cost - shift, upper) for _, _, cost, upper in arcs])
+    assert len(templates[0]) == 4
+    assert all(t == templates[0] for t in templates)
 
 
 def test_expand_pure_circulation(ring3):
@@ -303,8 +276,7 @@ def _per_gate_network(c, T, lower, slacks, slopes):
 def _assert_expands_like_per_gate_reference(c, T, curves):
     g = split_graph(c, T, curves)
     net = expand(g)
-    slopes = [tuple(b / _fanin_walk_kappa(c, j) for b in breakpoints(curves[j]))
-              for j in range(c.n)]
+    slopes = [breakpoints(curves[j]) for j in range(c.n)]
     lower = [d + curves[j].slacks[0] for j, d in enumerate(c.delays)]
     assert (net.n_nodes, net.scale, list(net.arcs)) == _per_gate_network(
         c, T, lower, [curves[j].slacks for j in range(c.n)], slopes)
@@ -359,16 +331,17 @@ def test_expand_matches_per_gate_reference():
                                    [(0, 50), (4, 42), (8, 34), (12, 30)]])
 def test_expand_one_edge_graph_matches_per_gate_reference(pairs):
     cur = make_curve(pairs)
-    g = one_edge_graph(cur, kappa=2, shift=3)
+    g = one_edge_graph(cur, shift=3)
     net = expand(g)
     assert (net.n_nodes, net.scale, list(net.arcs)) == _per_gate_network(
-        g.circuit, g.period, g.lower, [cur.slacks], [_slopes(g, 0)])
+        g.circuit, g.period, g.lower, [cur.slacks], [breakpoints(cur)])
 
 
 @pytest.mark.parametrize("kind", [0, 1, 2], ids=["shared", "per_gate", "equal_copies"])
 def test_expand_builds_one_template_per_distinct_curve_and_kappa(monkeypatch, kind):
-    # sink gates are grouped by the value (curve, kappa), so equal-valued
-    # curve copies share a template as one shared curve object does
+    # sink gates are grouped by curve value alone, whatever their number of
+    # zero-FF fanins, so equal-valued curve copies share a template as one
+    # shared curve object does
     build = transform._template
     calls = []
     monkeypatch.setattr(transform, "_template",
@@ -383,7 +356,7 @@ def test_expand_builds_one_template_per_distinct_curve_and_kappa(monkeypatch, ki
         calls.clear()
         expand(split_graph(c, T, curves))
         sinks = {e.dst for e in c.edges}
-        assert len(calls) == len({(curves[j], _fanin_walk_kappa(c, j)) for j in sinks})
-        copies += len({(id(curves[j]), _fanin_walk_kappa(c, j)) for j in sinks}) - len(calls)
+        assert len(calls) == len({curves[j] for j in sinks})
+        copies += len({id(curves[j]) for j in sinks}) - len(calls)
     if kind != 1:  # per-gate mixed curves may coincide by value too
         assert (copies > 0) == (kind == 2)
