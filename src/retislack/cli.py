@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: sta, retime, budget, bench.  Exit codes: 0 success, 1 input
-error, 2 infeasible, 3 internal verification failure.
+error (a usage error too), 2 infeasible, 3 internal verification failure.
 """
 from __future__ import annotations
 
@@ -167,6 +167,8 @@ def cmd_bench(args) -> int:
             if fn.endswith(".ckt"):
                 cases.append((fn[:-4], _load_circuit(os.path.join(args.dir, fn))))
     else:
+        if args.gen < 0:
+            raise CircuitError(f"--gen {args.gen}: negative case count")
         sizes = [6, 8, 10, 14, 20, 30]
         for i in range(args.gen):
             n = sizes[i % len(sizes)]
@@ -183,36 +185,24 @@ def cmd_bench(args) -> int:
         result = run_pipeline(c, curves, check=args.check)
         ms = (time.perf_counter() - t0) * 1000.0
         tmin = result.diagnostics["tmin"]
-        row = {
-            "name": name, "gates": c.n, "edges": len(c.edges), "Tmin": tmin,
-            "power_flow": result.total_power,
-            "power_oracle": "", "slack_flow": result.total_slack,
-            "slack_oracle": "", "runtime_ms": f"{ms:.1f}",
-        }
+        row = {"name": name, "gates": c.n, "edges": len(c.edges), "Tmin": tmin,
+               "power_flow": result.total_power, "slack_flow": result.total_slack,
+               "runtime_ms": f"{ms:.1f}"}
         if c.n <= 10 and max(cur.nlevels for cur in curves.values()) <= 4:
             opt = brute_force(c, tmin, curves)
             if opt is not None:
                 row["power_oracle"] = opt.power
                 row["slack_oracle"] = opt.total_slack
         rows.append(row)
-    out = io.StringIO()
-    w = csv.DictWriter(out, fieldnames=_BENCH_FIELDS)
-    w.writeheader()
-    for row in rows:
-        w.writerow(row)
-    if rows:
-        compared = [r for r in rows if r["power_oracle"] != ""]
+    if rows:  # a field a row does not hold is written blank
+        compared = [r for r in rows if "power_oracle" in r]
         avg = {
-            "name": "Avg", "gates": "", "edges": "",
-            "Tmin": "",
+            "name": "Avg",
             "power_flow": f"{Fraction(sum(r['power_flow'] for r in rows), len(rows))}",
-            "power_oracle": "",
             "slack_flow": f"{sum(r['slack_flow'] for r in rows) / len(rows):.1f}",
-            "slack_oracle": "",
             "runtime_ms": f"{sum(float(r['runtime_ms']) for r in rows) / len(rows):.1f}",
         }
-        diff = {k: "" for k in _BENCH_FIELDS}
-        diff["name"] = "Diff"
+        diff = {"name": "Diff"}
         if compared:
             pgap = sum(_gap(r["power_flow"], r["power_oracle"])
                        for r in compared) / len(compared)
@@ -220,8 +210,11 @@ def cmd_bench(args) -> int:
                        for r in compared) / len(compared)
             diff["power_flow"] = f"{float(pgap) * 100.0:+.1f}%"
             diff["slack_flow"] = f"{float(sgap) * 100.0:+.1f}%"
-        w.writerow(avg)
-        w.writerow(diff)
+        rows += [avg, diff]
+    out = io.StringIO()
+    w = csv.DictWriter(out, fieldnames=_BENCH_FIELDS)
+    w.writeheader()
+    w.writerows(rows)
     text = out.getvalue()
     if args.csv:
         _write(args.csv, text)
@@ -269,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse printed usage (code 2) or --help (0)
+        return EXIT_INPUT if e.code else EXIT_OK
     try:
         return args.func(args)
     except ValueError as e:  # CircuitError, CurveError and TransformError too

@@ -337,9 +337,7 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
                 price_update(eps)
                 next_update = iterations + update_every
             u = active.popleft()
-            e = excess[u]
-            if e <= 0:
-                continue
+            e = excess[u]  # positive: only u's own discharge lowers it
             au = adj[u]
             na = len(au)
             i = cur[u]

@@ -69,9 +69,9 @@ def feasible_retiming(c: Circuit, T: int, eff=None) -> Retiming | None:
     if max(eff) > T:
         return None
     n = c.n
-    edges, fanin, fanout = c.edges, c.fanin, c.fanout
+    fanin, fanout = c.fanin, c.fanout
     r = [0] * n
-    weights = [e.w for e in edges]
+    weights = [e.w for e in c.edges]
     parent = [-1] * n
     for _ in range(n + 1):
         _, a, src = _forward(c, eff, weights)
@@ -86,23 +86,18 @@ def feasible_retiming(c: Circuit, T: int, eff=None) -> Retiming | None:
         # the cycle is a closed walk of k segments longer than T carrying
         # fewer than k FFs.  Retiming keeps the FF count of every cycle, so
         # no retiming meets T.  A new cycle passes through a pointer set in
-        # this round.
+        # this round.  Raising r_i adds 1 to w_ij + r_j - r_i on i's fanin
+        # and takes 1 from its fanout, so an edge with both ends bad, or a
+        # self-loop, keeps its weight.
         for i in bad:
             parent[i] = src[i]
+            r[i] += 1
+            for k in fanin[i]:
+                weights[k] += 1
+            for k in fanout[i]:
+                weights[k] -= 1
         if _parent_cycle(parent, bad):
             return None
-        # w_ij + r_j - r_i moves only on edges with one end in the bad set
-        inside = [False] * n
-        for i in bad:
-            inside[i] = True
-            r[i] += 1
-        for i in bad:
-            for k in fanin[i]:
-                if not inside[edges[k].src]:
-                    weights[k] += 1
-            for k in fanout[i]:
-                if not inside[edges[k].dst]:
-                    weights[k] -= 1
     return None
 
 

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, reports, CSV/JSON artifacts."""
+import csv
 import dataclasses
+import io
 import json
 from fractions import Fraction
 
@@ -71,6 +73,20 @@ def test_bench_parse_error_names_its_file(tmp_path, capsys):
     bad = write(tmp_path, "z_bad.ckt", "gate a 1\nedge a zz 1\n")
     assert main(["bench", "--dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: line 2: unknown gate 'zz'\n"
+
+
+@pytest.mark.parametrize("argv", [["budget"],
+                                  ["sta", "fixtures/ring3.ckt", "--period", "x"],
+                                  []])
+def test_usage_error_is_input_error(capsys, argv):
+    # exit 1, not argparse's 2, which means an infeasible period
+    assert main(argv) == 1
+    assert "usage: retislack" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: retislack" in capsys.readouterr().out
 
 
 def test_retime_reports_min_period(tmp_path, capsys):
@@ -229,6 +245,35 @@ def test_bench_zero_cases(tmp_path, capsys):
     assert main(["bench", "--gen", "0"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 1  # header only
+
+
+def test_bench_negative_count_is_input_error(capsys):
+    assert main(["bench", "--gen", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --gen -2")
+
+
+def test_bench_footer_rows_leave_unset_fields_blank(tmp_path, capsys):
+    # Avg fills name, power_flow, slack_flow and runtime_ms; Diff fills name,
+    # and power_flow and slack_flow only when some case met the oracle
+    blank_avg = ["gates", "edges", "Tmin", "power_oracle", "slack_oracle"]
+    with open("fixtures/ring11.ckt") as f:
+        write(tmp_path, "ring11.ckt", f.read())  # too large for the oracle
+    for argv, compared in ((["bench", "--gen", "3", "--seed", "3"], True),
+                           (["bench", "--dir", str(tmp_path)], False)):
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        avg, diff = rows[-2], rows[-1]
+        assert avg["name"] == "Avg" and diff["name"] == "Diff"
+        assert all(avg[k] == "" for k in blank_avg)
+        assert all(avg[k] != "" for k in ("power_flow", "slack_flow", "runtime_ms"))
+        filled = {"name", "power_flow", "slack_flow"} if compared else {"name"}
+        assert {k for k, v in diff.items() if v != ""} == filled
+        cases = rows[:-2]
+        assert all(r["power_oracle"] != "" for r in cases) == compared
+        assert all(r["gates"] != "" and r["runtime_ms"] != "" for r in cases)
 
 
 def test_bench_directory_and_csv_file(tmp_path, capsys):

@@ -148,21 +148,66 @@ def _relabel_rounds(c, T, eff, rounds):
 
 def test_feas_matches_round_by_round_relabeling():
     # the probe gives the same answer as plain rounds and, when feasible, the
-    # same witness, which is a legal retiming
+    # same witness, which is a legal retiming; the odd circuits bring
+    # self-loops and edges whose two ends violate T in the same round
     rng = random.Random(7)
+    cases = []
     for seed in range(150):
         c = generate_random(rng.randint(1, 40), edge_density=rng.uniform(0.5, 3.0),
                             ff_prob=rng.uniform(0.1, 0.8),
                             delay_range=(0, 3) if seed % 3 == 0 else (1, 10),
                             seed=seed)
         eff = [d + rng.choice((0, 0, 2, 7)) for d in c.delays]
-        T = rng.randint(max(eff), max(arrivals(c, eff)))
+        cases.append((c, eff, rng.randint(max(eff), max(arrivals(c, eff)))))
+    for c in _odd_circuits():
+        cases += [(c, c.delays, T) for T in range(max(c.delays),
+                                                  max(arrivals(c, c.delays)) + 1)]
+    for c, eff, T in cases:
         r = feasible_retiming(c, T, eff)
         ref_ok, ref = _relabel_rounds(c, T, eff, c.n + 1)
         assert (r is not None) == ref_ok
         if ref_ok:
             assert r.labels == ref
             retimed_weights(c, r)  # raises if illegal
+
+
+def _with_self_loops(c, rng):
+    """c plus a one- or two-FF self-loop on a random subset of its gates."""
+    loops = tuple(Edge(i, i, rng.choice((1, 2))) for i in range(c.n)
+                  if rng.random() < 0.3)
+    return Circuit(c.gates, c.edges + loops)
+
+
+def test_feas_witness_is_the_least_legal_labeling():
+    # at every T from the largest delay to the unretimed period, the witness
+    # is the componentwise least vector in [0, n]^n that is legal and meets T,
+    # and None means no vector there is
+    rng = random.Random(11)
+    cases = []
+    for seed in range(150):
+        c = _with_self_loops(generate_random(
+            rng.randint(2, 5), edge_density=rng.uniform(1.0, 2.5),
+            ff_prob=rng.uniform(0.2, 0.9),
+            delay_range=(0, 3) if seed % 2 else (1, 6), seed=seed), rng)
+        cases.append((c, [d + rng.choice((0, 0, 2, 7)) for d in c.delays]))
+    cases += [(c, c.delays) for c in _odd_circuits() if c.n <= 5]
+    raised = 0
+    for c, eff in cases:
+        period = {}  # legal label vector -> its max arrival
+        for labels in itertools.product(range(c.n + 1), repeat=c.n):
+            try:
+                weights = retimed_weights(c, Retiming(labels))
+            except RetimingError:
+                continue
+            period[labels] = max(arrivals(c, eff, weights))
+        for T in range(max(eff), max(arrivals(c, eff)) + 1):
+            meets = [v for v, p in period.items() if p <= T]
+            got = feasible_retiming(c, T, eff)
+            assert (got is not None) == bool(meets)
+            if meets:
+                assert got.labels == tuple(map(min, zip(*meets)))
+                raised += any(got.labels)
+    assert raised > 50  # witnesses that had to move some FF
 
 
 def test_min_period_ring3(ring3):
