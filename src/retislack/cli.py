@@ -143,6 +143,9 @@ def cmd_budget(args) -> int:
                 "probes": diag["probes"],
             },
         }
+        if args.check:
+            for key in ("checked", "oracle_augmentations", "oracle_phases"):
+                doc["diagnostics"][key] = diag[key]
         _write(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -19,9 +19,13 @@ current flow is already epsilon-optimal; when they exist it takes them and
 skips the phase.  Costs are internally multiplied by (nodes + 1), so the
 1-optimal flow it ends with is exactly optimal.
 ssp_oracle is an independent primal-dual successive-shortest-path solver
-used for cross-checking; it sees every live arc unbundled.  Its node
-potentials keep every residual reduced cost >= 0, so each phase is one
-Dijkstra search, and a negative reduced cost raises SolverError.
+used for cross-checking; it sees every live arc unbundled and builds its own
+flow from scratch.  Its node potentials keep every residual reduced cost
+>= 0, so each phase is one Dijkstra search, and a negative reduced cost
+raises SolverError.  It may start from any potentials: it saturates the arcs
+they price negative and reaches the optimum from there, so a start near the
+optimal duals (run_pipeline passes the certificate distances) saves phases
+and cannot change the answer.
 residual_potentials reads shortest distances straight off a flow's residual
 arcs, removed arcs included; a negative residual cycle reachable from its
 source, which no optimal flow has, raises SolverError.
@@ -388,28 +392,36 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
     return FlowSolution(flows, _solution_cost(net, flows), iterations, phases)
 
 
-def ssp_oracle(net: FlowNetwork) -> FlowSolution:
+def ssp_oracle(net: FlowNetwork, prices=None) -> FlowSolution:
     """Same contract as solve_mcf, by primal-dual successive shortest paths.
 
-    Negative-cost live arcs (see _live_arcs) are saturated up front, after
-    which every residual cost is >= 0 and zero potentials are valid.  Each
-    phase runs one Dijkstra over reduced costs from all excess nodes to the
-    nearest deficit, raises the potentials by the distances (capped at that
-    deficit's), and drains excess along every zero-reduced-cost residual
-    path it can find (Ahuja, Magnanti & Orlin, Network Flows, 1993, 9.7).
-    `iterations` counts augmenting paths and `phases` Dijkstra searches.
+    The potentials start at `prices` (one per node; zeros when None).  Every
+    live arc (see _live_arcs) whose reduced cost cost + pi[src] - pi[dst] is
+    negative is saturated up front, after which every residual reduced cost
+    is >= 0.  Each phase runs one Dijkstra over reduced costs from all
+    excess nodes to the nearest deficit, raises the potentials by the
+    distances (capped at that deficit's), and drains excess along every
+    zero-reduced-cost residual path it can find (Ahuja, Magnanti & Orlin,
+    Network Flows, 1993, 9.7).  Both steps keep every residual reduced cost
+    >= 0, so the pseudoflow left when no excess remains is an optimal
+    circulation whatever the start (ibid., Thm 9.3): good prices, such as an
+    optimal flow's residual distances, only save phases, and bad ones only
+    cost time.  `iterations` counts augmenting paths and `phases` Dijkstra
+    searches.
     """
     n = net.n_nodes
+    pi = [0] * n if prices is None else list(prices)
+    if len(pi) != n:
+        raise ValueError(f"{len(pi)} prices for {n} nodes")
     r = _Residual(net)
     res = r.res
     excess = [0] * n
     for k, (src, dst, cost, upper) in enumerate(net.arcs):
-        if cost < 0 and r.live[k]:
+        if r.live[k] and cost + pi[src] - pi[dst] < 0:
             res[2 * k] = 0
             res[2 * k + 1] = upper
             excess[src] -= upper
             excess[dst] += upper
-    pi = [0] * n
     iterations = phases = 0
     while any(e > 0 for e in excess):
         _raise_potentials(r, pi, excess)

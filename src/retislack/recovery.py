@@ -228,12 +228,16 @@ def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
         "solver_phases": sol.phases,
     })
     if check:
-        oracle = ssp_oracle(net)
+        # the certificate distances only speed the re-solve up: it builds its
+        # own flow and reaches the optimum from any start
+        oracle = ssp_oracle(net, dist)
         if oracle.cost != sol.cost:
             raise RecoveryError(
                 f"flow cost {sol.cost} disagrees with the cross-check {oracle.cost}")
         verify_result(c, result)
         result.diagnostics["checked"] = True
+        result.diagnostics["oracle_augmentations"] = oracle.iterations
+        result.diagnostics["oracle_phases"] = oracle.phases
     return result
 
 

@@ -211,6 +211,21 @@ def test_budget_json_document(tmp_path, capsys):
     assert Fraction(doc["total_power"]) <= 300
 
 
+def test_budget_check_json_reports_the_cross_check(tmp_path, capsys):
+    ckt = write(tmp_path, "r.ckt", RING3_TEXT)
+    cur = write(tmp_path, "c.json", CURVES_TEXT)
+    out_path = tmp_path / "out.json"
+    assert main(["budget", ckt, cur, "--period", "6", "--check",
+                 "--json", str(out_path)]) == 0
+    diag = json.loads(out_path.read_text())["diagnostics"]
+    assert set(diag) == {"tmin", "repair_steps", "solver_iterations",
+                         "solver_phases", "flow_cost", "snap_power",
+                         "fill_steps", "probes", "checked",
+                         "oracle_augmentations", "oracle_phases"}
+    assert diag["checked"] is True
+    assert 0 <= diag["oracle_phases"] <= diag["oracle_augmentations"]
+
+
 def test_budget_json_unwritable_path_is_input_error(tmp_path, capsys):
     ckt = write(tmp_path, "r.ckt", RING3_TEXT)
     cur = write(tmp_path, "c.json", CURVES_TEXT)

@@ -390,6 +390,36 @@ def test_oracle_matches_on_mixed_curve_pipeline_networks():
         assert dist == residual_potentials(net, b, g.v0, g.nff_bar)
 
 
+def test_oracle_answer_does_not_depend_on_its_start():
+    # from any prices the oracle saturates the arcs they price negative and
+    # keeps every residual reduced cost >= 0, so it ends at the optimum: the
+    # certificate, its negation, random and wild prices give the cold cost
+    rng = random.Random(2727)
+    warm = 0
+    for i in range(100):
+        c = generate_random(rng.randint(6, 40), edge_density=2.2, ff_prob=0.4,
+                            seed=2700 + i)
+        names = [gate.name for gate in c.gates]
+        curves = load_curves(json.dumps({n: _mixed_curve(rng) for n in names}), c)
+        tmin, _ = min_slack_period(c, curves)
+        g = split_graph(c, tmin + rng.randint(0, 6), curves)
+        net = expand(g)
+        cold = ssp_oracle(net)
+        dist = residual_potentials(net, solve_mcf(net), g.v0, g.nff_bar)
+        n = net.n_nodes
+        sols = [ssp_oracle(net, prices) for prices in (
+            dist, [-d for d in dist], [rng.randint(-1000, 1000) for _ in range(n)],
+            [10**6 * (v % 2) for v in range(n)])]
+        for sol in sols:
+            assert sol.cost == cold.cost
+            verify_circulation(net, sol)
+        warm += sols[0].phases < cold.phases
+    assert warm > 0
+    for prices in ([0] * (net.n_nodes - 1), [0] * (net.n_nodes + 1)):
+        with pytest.raises(ValueError, match="prices"):
+            ssp_oracle(net, prices)
+
+
 def test_pipeline_potentials_do_not_depend_on_the_optimal_flow():
     # every optimal flow has the same set of optimal duals, so the distances
     # from v0 read off solve_mcf's flow (whose phases price refinement may

@@ -337,6 +337,23 @@ def test_check_rejects_a_flow_cost_the_oracle_disagrees_with(ring3, monkeypatch)
     run_pipeline(ring3, curves)  # without check the cost is not compared
 
 
+def test_check_starts_the_oracle_from_the_certificate(ring3, monkeypatch):
+    seen = {}
+    real_potentials, real_oracle = recovery.residual_potentials, recovery.ssp_oracle
+
+    def potentials(*args, **kwargs):
+        seen["dist"] = real_potentials(*args, **kwargs)
+        return seen["dist"]
+
+    def oracle(net, prices=None):
+        seen["prices"] = prices
+        return real_oracle(net, prices)
+    monkeypatch.setattr(recovery, "residual_potentials", potentials)
+    monkeypatch.setattr(recovery, "ssp_oracle", oracle)
+    run_pipeline(ring3, curves_for(ring3), T=6, check=True)
+    assert seen["prices"] is seen["dist"]
+
+
 def test_check_leaves_the_answer_unchanged():
     rng = random.Random(23)
     for seed in range(20):
@@ -351,6 +368,7 @@ def test_check_leaves_the_answer_unchanged():
         assert checked.achieved_period == plain.achieved_period
         diag = dict(checked.diagnostics)
         assert diag.pop("checked") is True
+        assert diag.pop("oracle_phases") <= diag.pop("oracle_augmentations")
         assert diag == plain.diagnostics
 
 
