@@ -322,6 +322,8 @@ def generate_random(n_gates: int, edge_density: float = 2.0, ff_prob: float = 0.
     """
     if not (0.0 <= ff_prob <= 1.0):
         raise ValueError("ff_prob must be in [0, 1]")
+    if edge_density < 0:
+        raise ValueError("edge_density must be nonnegative")
     rng = random.Random(seed)
     lo, hi = delay_range
     gates = tuple(Gate(i, f"g{i}", rng.randint(lo, hi)) for i in range(n_gates))
@@ -329,6 +331,7 @@ def generate_random(n_gates: int, edge_density: float = 2.0, ff_prob: float = 0.
     seen = set()
     edges = []
     attempts = 30 * target + 100
+    target = min(target, n_gates * (n_gates - 1))  # one edge per ordered gate pair
     while len(edges) < target and attempts > 0:
         attempts -= 1
         i = rng.randrange(n_gates)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .circuit import Circuit, CircuitError, generate_random, parse_circuit, sta
 from .exact import brute_force
 from .mcf import SolverError
-from .power import CurveError, PowerSlackCurve, load_curves
+from .power import load_curves
 from .recovery import InfeasiblePeriodError, RecoveryError, run_pipeline
 from .retime import feasible_retiming, min_period
 
@@ -43,43 +43,37 @@ def _write(path: str, text: str) -> None:
         raise CircuitError(f"cannot write {path}: {e}") from None
 
 
-def _load_circuit(path: str) -> Circuit:
+def _load(path: str, parse, *args):
+    """parse(text, *args) on the file's text; a parse error names the file."""
     text = _read(path)
     try:
-        return parse_circuit(text)
-    except CircuitError as e:
+        return parse(text, *args)
+    except ValueError as e:  # CircuitError, CurveError and json.JSONDecodeError
         raise CircuitError(f"{path}: {e}") from None
 
 
-def _load_curves(path: str, c: Circuit) -> dict[int, PowerSlackCurve]:
-    text = _read(path)
-    try:
-        return load_curves(text, c)
-    except CurveError as e:
-        raise CurveError(f"{path}: {e}") from None
+def _slack_delays(text: str, c: Circuit) -> list[int]:
+    """Gate delays plus the per-gate extra slack of a JSON slack file."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise CircuitError("slack file must be a JSON object")
+    eff = list(c.delays)
+    for name, s in doc.items():
+        try:
+            j = c.gate_id(name)
+        except KeyError:
+            raise CircuitError(f"slack file names unknown gate {name!r}") from None
+        if isinstance(s, bool) or not isinstance(s, int):
+            raise CircuitError(f"slack for {name!r} is not an integer")
+        eff[j] += s
+        if eff[j] < 0:
+            raise CircuitError(f"gate {name}: negative effective delay")
+    return eff
 
 
 def cmd_sta(args) -> int:
-    c = _load_circuit(args.circuit)
-    eff = list(c.delays)
-    if args.slacks:
-        text = _read(args.slacks)
-        try:
-            doc = json.loads(text)
-            if not isinstance(doc, dict):
-                raise CircuitError("slack file must be a JSON object")
-            for name, s in doc.items():
-                try:
-                    j = c.gate_id(name)
-                except KeyError:
-                    raise CircuitError(f"slack file names unknown gate {name!r}") from None
-                if isinstance(s, bool) or not isinstance(s, int):
-                    raise CircuitError(f"slack for {name!r} is not an integer")
-                eff[j] += s
-                if eff[j] < 0:
-                    raise CircuitError(f"gate {name}: negative effective delay")
-        except ValueError as e:  # json.JSONDecodeError and CircuitError
-            raise CircuitError(f"{args.slacks}: {e}") from None
+    c = _load(args.circuit, parse_circuit)
+    eff = _load(args.slacks, _slack_delays, c) if args.slacks else None
     rep = sta(c, args.period, eff)
     print(f"{'gate':<12}{'arrival':>8}{'required':>9}{'slack':>7}")
     for g in c.gates:
@@ -93,7 +87,7 @@ def cmd_sta(args) -> int:
 
 
 def cmd_retime(args) -> int:
-    c = _load_circuit(args.circuit)
+    c = _load(args.circuit, parse_circuit)
     if args.period is None:
         tmin, r = min_period(c)
         print(f"Tmin {tmin}")
@@ -107,8 +101,8 @@ def cmd_retime(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    c = _load_circuit(args.circuit)
-    curves = _load_curves(args.curves, c)
+    c = _load(args.circuit, parse_circuit)
+    curves = _load(args.curves, load_curves, c)
     t0 = time.perf_counter()
     result = run_pipeline(c, curves, T=args.period, check=args.check)
     runtime = time.perf_counter() - t0
@@ -118,7 +112,10 @@ def cmd_budget(args) -> int:
     print(f"total_slack {result.total_slack}")
     print(f"runtime_ms  {runtime * 1000.0:.1f}")
     if args.json:
-        diag = result.diagnostics
+        # every diagnostic but the per-node vectors, powers as strings
+        diag = {k: v for k, v in result.diagnostics.items() if k not in ("mu", "sbar")}
+        diag["repair_steps"] = len(diag["repair_steps"])
+        diag["snap_power"] = str(diag["snap_power"])
         doc = {
             "period": result.period,
             "achieved_period": result.achieved_period,
@@ -132,20 +129,8 @@ def cmd_budget(args) -> int:
                 for g in c.gates
             },
             "retiming": {g.name: result.retiming.labels[g.id] for g in c.gates},
-            "diagnostics": {
-                "tmin": diag["tmin"],
-                "repair_steps": len(diag["repair_steps"]),
-                "solver_iterations": diag["solver_iterations"],
-                "solver_phases": diag["solver_phases"],
-                "flow_cost": diag["flow_cost"],
-                "snap_power": str(diag["snap_power"]),
-                "fill_steps": diag["fill_steps"],
-                "probes": diag["probes"],
-            },
+            "diagnostics": diag,
         }
-        if args.check:
-            for key in ("checked", "oracle_augmentations", "oracle_phases"):
-                doc["diagnostics"][key] = diag[key]
         _write(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -168,7 +153,7 @@ def cmd_bench(args) -> int:
             raise CircuitError(f"cannot read {args.dir}: {e}") from None
         for fn in names:
             if fn.endswith(".ckt"):
-                cases.append((fn[:-4], _load_circuit(os.path.join(args.dir, fn))))
+                cases.append((fn[:-4], _load(os.path.join(args.dir, fn), parse_circuit)))
     else:
         if args.gen < 0:
             raise CircuitError(f"--gen {args.gen}: negative case count")
@@ -182,7 +167,7 @@ def cmd_bench(args) -> int:
     default_curve = json.dumps({"default": [[0, 100], [10, 60], [20, 30], [33, 10]]})
     rows = []
     for name, c in cases:
-        curves = (_load_curves(args.levels, c) if args.levels
+        curves = (_load(args.levels, load_curves, c) if args.levels
                   else load_curves(default_curve, c))
         t0 = time.perf_counter()
         result = run_pipeline(c, curves, check=args.check)

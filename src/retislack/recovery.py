@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from time import perf_counter
 
 from .circuit import Circuit, CircuitError, IncrementalTiming, sta
 from .mcf import residual_potentials, solve_mcf, ssp_oracle
@@ -25,6 +26,12 @@ from .transform import DualGraph, expand, split_graph
 
 
 K = 1024  # bisection resolution of finalize: k / K of each gate's budget
+
+# diagnostics["stages"] keys: wall seconds of run_pipeline's stage groups in
+# call order; the last two are timed with check=True only
+STAGE_NAMES = ("retime.min_period_s", "transform.split_graph_s", "transform.expand_s",
+               "mcf.solve_s", "mcf.potentials_s", "recovery.recover_s",
+               "recovery.finalize_s", "mcf.oracle_s", "recovery.verify_s")
 
 
 class RecoveryError(RuntimeError):
@@ -205,20 +212,28 @@ def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
     """Full budgeting flow: split, expand, solve, recover, snap, finalize."""
     if T is not None and type(T) is not int:
         raise ValueError(f"period must be an integer, got {T!r}")
+    ticks = [perf_counter()]  # a clock read after each stage group
     tmin, _ = min_slack_period(c, curves)
+    ticks.append(perf_counter())
     if T is None:
         T = tmin
     elif T < tmin:
         raise InfeasiblePeriodError(
             f"period {T} infeasible even at minimum slack (minimum {tmin})")
     g = split_graph(c, T, curves)
+    ticks.append(perf_counter())
     net = expand(g)
+    ticks.append(perf_counter())
     sol = solve_mcf(net)
+    ticks.append(perf_counter())
     dist = residual_potentials(net, sol, g.v0, sentinel=g.nff_bar)
+    ticks.append(perf_counter())
     mu, s_vals = recover_duals(g, dist)
     sbar = recover_slacks(g, c, s_vals)
     assignment = snap_levels(sbar, curves, c.delays)
+    ticks.append(perf_counter())
     result = finalize(c, T, curves, assignment)
+    ticks.append(perf_counter())
     result.diagnostics.update({
         "tmin": tmin,
         "mu": mu,
@@ -226,6 +241,9 @@ def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
         "flow_cost": sol.cost,
         "solver_iterations": sol.iterations,
         "solver_phases": sol.phases,
+        "arcs": len(net.arcs),
+        "nodes": net.n_nodes,
+        "scale": net.scale,
     })
     if check:
         # the certificate distances only speed the re-solve up: it builds its
@@ -234,10 +252,14 @@ def run_pipeline(c: Circuit, curves: dict[int, PowerSlackCurve],
         if oracle.cost != sol.cost:
             raise RecoveryError(
                 f"flow cost {sol.cost} disagrees with the cross-check {oracle.cost}")
+        ticks.append(perf_counter())
         verify_result(c, result)
+        ticks.append(perf_counter())
         result.diagnostics["checked"] = True
         result.diagnostics["oracle_augmentations"] = oracle.iterations
         result.diagnostics["oracle_phases"] = oracle.phases
+    result.diagnostics["stages"] = {
+        name: b - a for name, a, b in zip(STAGE_NAMES, ticks, ticks[1:])}
     return result
 
 

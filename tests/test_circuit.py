@@ -1,5 +1,6 @@
 """Circuit parsing, validation, and static timing analysis."""
 import random
+import time
 
 import pytest
 
@@ -246,6 +247,19 @@ def test_generate_random_validates():
         assert c.n == n
         assert all(e.w >= 0 for e in c.edges)
         sta(c, sum(c.delays))  # would raise on a combinational cycle
+
+
+def test_generate_random_stops_once_every_pair_has_an_edge():
+    # 10 gates have 90 ordered pairs: a density past 9 adds no edge, so it
+    # must not spend its 30 x 10^7 attempts looking for one
+    t0 = time.perf_counter()
+    for seed in range(5):
+        dense = generate_random(10, edge_density=10**6, seed=seed)
+        assert dense == generate_random(10, edge_density=9, seed=seed)
+        assert len(dense.edges) == 90
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(ValueError, match="edge_density"):
+        generate_random(10, edge_density=-0.5)
 
 
 def test_generate_random_hits_target_density():

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import Retiming, recovery
+from retislack import (Retiming, load_curves, parse_circuit, recovery,
+                       run_pipeline)
 from retislack.cli import main
 from conftest import RING3_TEXT
 
@@ -197,7 +198,8 @@ def test_budget_json_document(tmp_path, capsys):
     diag = doc["diagnostics"]
     assert set(diag) == {"tmin", "repair_steps", "solver_iterations",
                          "solver_phases", "flow_cost", "snap_power",
-                         "fill_steps", "probes"}
+                         "fill_steps", "probes", "arcs", "nodes", "scale",
+                         "stages"}
     assert diag["tmin"] == 5
     assert isinstance(diag["repair_steps"], int) and diag["repair_steps"] >= 0
     assert isinstance(diag["solver_iterations"], int)
@@ -221,9 +223,31 @@ def test_budget_check_json_reports_the_cross_check(tmp_path, capsys):
     assert set(diag) == {"tmin", "repair_steps", "solver_iterations",
                          "solver_phases", "flow_cost", "snap_power",
                          "fill_steps", "probes", "checked",
-                         "oracle_augmentations", "oracle_phases"}
+                         "oracle_augmentations", "oracle_phases", "arcs",
+                         "nodes", "scale", "stages"}
     assert diag["checked"] is True
     assert 0 <= diag["oracle_phases"] <= diag["oracle_augmentations"]
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_budget_json_diagnostics_match_run_pipeline(tmp_path, capsys, check):
+    # every diagnostic but the per-node vectors, with the two conversions
+    out_path = tmp_path / "out.json"
+    argv = ["budget", "fixtures/ring11.ckt", "fixtures/curves4.json",
+            "--json", str(out_path)]
+    assert main(argv + ["--check"] * check) == 0
+    got = json.loads(out_path.read_text())["diagnostics"]
+    with open("fixtures/ring11.ckt") as f:
+        c = parse_circuit(f.read())
+    with open("fixtures/curves4.json") as f:
+        want = dict(run_pipeline(c, load_curves(f.read(), c),
+                                 check=check).diagnostics)
+    del want["mu"], want["sbar"]
+    want["repair_steps"] = len(want["repair_steps"])
+    want["snap_power"] = str(want["snap_power"])
+    # the document sorts its keys; run_pipeline lists the stages in call order
+    assert sorted(got.pop("stages")) == sorted(want.pop("stages"))
+    assert got == want
 
 
 def test_budget_json_unwritable_path_is_input_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Dual recovery, level snapping, and the end-to-end budgeting pipeline."""
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -366,10 +367,36 @@ def test_check_leaves_the_answer_unchanged():
         assert checked.assignment == plain.assignment
         assert checked.retiming == plain.retiming
         assert checked.achieved_period == plain.achieved_period
-        diag = dict(checked.diagnostics)
+        diag, plain_diag = dict(checked.diagnostics), dict(plain.diagnostics)
+        for d in (diag, plain_diag):
+            d.pop("stages")  # wall times differ from run to run
         assert diag.pop("checked") is True
         assert diag.pop("oracle_phases") <= diag.pop("oracle_augmentations")
-        assert diag == plain.diagnostics
+        assert diag == plain_diag
+
+
+def test_pipeline_reports_stage_times_and_network_size():
+    rng = random.Random(29)
+    names = ["retime.min_period_s", "transform.split_graph_s",
+             "transform.expand_s", "mcf.solve_s", "mcf.potentials_s",
+             "recovery.recover_s", "recovery.finalize_s"]
+    for seed in range(6):
+        c = generate_random(rng.randint(6, 40), edge_density=2.0,
+                            ff_prob=0.4, seed=8000 + seed)
+        curves = {j: _random_curve(rng) for j in range(c.n)}
+        T = min_slack_period(c, curves)[0] + rng.randint(0, 3)
+        net = expand(split_graph(c, T, curves))
+        for check in (False, True):
+            t0 = time.perf_counter()
+            diag = run_pipeline(c, curves, T=T, check=check).diagnostics
+            wall = time.perf_counter() - t0
+            stages = diag["stages"]
+            assert list(stages) == names + (
+                ["mcf.oracle_s", "recovery.verify_s"] if check else [])
+            assert all(t >= 0 for t in stages.values())
+            assert sum(stages.values()) <= wall
+            assert (diag["arcs"], diag["nodes"], diag["scale"]) == (
+                len(net.arcs), net.n_nodes, net.scale)
 
 
 def test_verify_result_catches_corruption(ring3):
