@@ -99,14 +99,9 @@ class Circuit:
     def _name_index(self) -> dict[str, int]:
         return {g.name: g.id for g in self.gates}
 
-    @cached_property
-    def total_ffs(self) -> int:
-        return sum(e.w for e in self.edges)
-
 
 @dataclass(frozen=True)
 class TimingReport:
-    period: int
     arrival: tuple[int, ...]
     required: tuple[int, ...]
     slack: tuple[int, ...]
@@ -194,11 +189,11 @@ def sta(c: Circuit, T: int, eff=None, weights=None) -> TimingReport:
     order, a, _ = _forward(c, eff, weights)
     g = _backward(c, T, eff, weights, order)
     s = [g[i] - a[i] for i in range(c.n)]
-    return TimingReport(T, tuple(a), tuple(g), tuple(s))
+    return TimingReport(tuple(a), tuple(g), tuple(s))
 
 
 class IncrementalTiming:
-    """Arrival, required and slack lists kept equal to `sta(c, T, eff, weights)`
+    """Arrival and required lists kept equal to `sta(c, T, eff, weights)`
     while single effective delays change under fixed FF weights.
 
     `set_delay(j, d)` recomputes arrivals only in j's zero-FF fanout cone and
@@ -211,7 +206,6 @@ class IncrementalTiming:
         self.eff = list(eff)
         order, self.arrival, _ = _forward(c, self.eff, weights)
         self.required = _backward(c, T, self.eff, weights, order)
-        self.slack = [g - a for g, a in zip(self.required, self.arrival)]
         self._order = order
         self._pos = [0] * c.n
         for p, v in enumerate(order):
@@ -225,7 +219,7 @@ class IncrementalTiming:
                 self._zout[e.src].append(e.dst)
 
     def set_delay(self, j: int, d: int) -> None:
-        eff, a, g, s = self.eff, self.arrival, self.required, self.slack
+        eff, a, g = self.eff, self.arrival, self.required
         order, pos, zin, zout = self._order, self._pos, self._zin, self._zout
         eff[j] = d
         heap = [pos[j]]
@@ -235,7 +229,6 @@ class IncrementalTiming:
             x = eff[v] + max((a[u] for u in zin[v]), default=0)
             if x != a[v]:
                 a[v] = x
-                s[v] = g[v] - x
                 for u in zout[v]:
                     if u not in queued:
                         queued.add(u)
@@ -251,7 +244,6 @@ class IncrementalTiming:
             x = min((g[u] - eff[u] for u in zout[v]), default=self.T)
             if x != g[v]:
                 g[v] = x
-                s[v] = x - a[v]
                 for u in zin[v]:
                     if u not in queued:
                         queued.add(u)

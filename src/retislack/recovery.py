@@ -186,7 +186,7 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
     while heap:
         _, j = heappop(heap)
         cur, q = cs[j], levels[j]
-        if timing.slack[j] < cur.slacks[q + 1] - cur.slacks[q]:
+        if timing.required[j] - timing.arrival[j] < cur.slacks[q + 1] - cur.slacks[q]:
             continue
         levels[j] = q + 1
         timing.set_delay(j, c.delays[j] + cur.slacks[q + 1])

@@ -71,7 +71,7 @@ def split_graph(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
     """Build the dual graph for circuit c at period T."""
     # n_ff is kept only because the traced replay passes it
     if n_ff is None:
-        n_ff = max(1, c.total_ffs)
+        n_ff = max(1, sum(e.w for e in c.edges))
     if n_ff < 1:
         raise ValueError("n_ff must be >= 1")
     cs = tuple(curves[j] for j in range(c.n))

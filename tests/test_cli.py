@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import (Retiming, load_curves, parse_circuit, recovery,
+from retislack import (Retiming, cli, load_curves, parse_circuit, recovery,
                        run_pipeline)
 from retislack.cli import main
 from conftest import RING3_TEXT
@@ -112,6 +112,30 @@ def test_budget_ring3(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "period      5" in out
     assert "total_power 300" in out
+
+
+def _fix_stages(monkeypatch):
+    """Make the CLI's run_pipeline report stage times summing to 1.75 s."""
+    def run(*args, **kwargs):
+        result = run_pipeline(*args, **kwargs)
+        result.diagnostics["stages"] = {"a": 0.25, "b": 1.5}
+        return result
+    monkeypatch.setattr(cli, "run_pipeline", run)
+
+
+def test_budget_runtime_is_the_sum_of_the_stages(tmp_path, capsys, monkeypatch):
+    _fix_stages(monkeypatch)
+    ckt = write(tmp_path, "r.ckt", RING3_TEXT)
+    cur = write(tmp_path, "c.json", CURVES_TEXT)
+    assert main(["budget", ckt, cur]) == 0
+    assert "runtime_ms  1750.0\n" in capsys.readouterr().out
+
+
+def test_bench_runtime_is_the_sum_of_the_stages(tmp_path, capsys, monkeypatch):
+    _fix_stages(monkeypatch)
+    assert main(["bench", "--gen", "2"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["runtime_ms"] for r in rows] == ["1750.0", "1750.0", "1750.0", ""]
 
 
 def test_budget_below_min_period(tmp_path, capsys):

@@ -21,7 +21,7 @@ def test_retiming_moves_ff_between_ring_edges(ring3):
     # pull the FF of (c->a) onto (b->c)
     weights = retimed_weights(ring3, Retiming((0, 0, 1)))
     assert weights == [0, 2, 0]
-    assert sum(weights) == ring3.total_ffs
+    assert sum(weights) == sum(e.w for e in ring3.edges)
 
 
 def test_illegal_retiming_rejected(ring3):
@@ -231,6 +231,16 @@ def test_min_period_ring11_fixture():
     t, r = min_period(c)
     assert t == 20
     assert max(sta(c, 20, weights=retimed_weights(c, r)).arrival) <= 20
+
+
+def test_min_period_correlator_fixture():
+    # the Leiserson-Saxe correlator: period 24 as given, 13 retimed
+    with open("fixtures/correlator.ckt") as f:
+        c = parse_circuit(f.read())
+    assert max(sta(c, 0).arrival) == 24
+    t, r = min_period(c)
+    assert t == 13
+    assert max(sta(c, 13, weights=retimed_weights(c, r)).arrival) <= 13
 
 
 def test_min_period_monotone():

@@ -338,7 +338,7 @@ def test_expand_one_edge_graph_matches_per_gate_reference(pairs):
 
 
 @pytest.mark.parametrize("kind", [0, 1, 2], ids=["shared", "per_gate", "equal_copies"])
-def test_expand_builds_one_template_per_distinct_curve_and_kappa(monkeypatch, kind):
+def test_expand_builds_one_template_per_distinct_curve(monkeypatch, kind):
     # sink gates are grouped by curve value alone, whatever their number of
     # zero-FF fanins, so equal-valued curve copies share a template as one
     # shared curve object does
