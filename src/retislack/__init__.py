@@ -10,7 +10,7 @@ from .power import (CurveError, PowerSlackCurve, breakpoints, load_curves,
 from .recovery import (BudgetResult, InfeasiblePeriodError, RecoveryError,
                        SlackAssignment, finalize, recover_duals,
                        recover_slacks, run_pipeline, snap_levels)
-from .retime import Retiming, RetimingError, feasible_retiming, min_period
+from .retime import RetimingError, feasible_retiming, min_period
 from .transform import (DualGraph, FlowNetwork, TransformError, expand,
                         split_graph)
 

@@ -160,16 +160,13 @@ def _backward(c: Circuit, T: int, eff, weights, order) -> list[int]:
     return g
 
 
-def arrivals(c: Circuit, eff, weights=None) -> list[int]:
+def arrivals(c: Circuit, eff) -> list[int]:
     """Latest arrival time per gate under effective delays `eff`.
 
-    `weights` optionally overrides the per-edge FF counts (a retiming's
-    weights).  Arrival is the gate's own effective delay plus the maximum
-    arrival over zero-FF fanin edges.
+    Arrival is the gate's own effective delay plus the maximum arrival over
+    zero-FF fanin edges.
     """
-    if weights is None:
-        weights = [e.w for e in c.edges]
-    return _forward(c, eff, weights)[1]
+    return _forward(c, eff, [e.w for e in c.edges])[1]
 
 
 def sta(c: Circuit, T: int, eff=None, weights=None) -> TimingReport:
@@ -177,7 +174,7 @@ def sta(c: Circuit, T: int, eff=None, weights=None) -> TimingReport:
 
     eff is the per-gate effective delay (delay plus any granted slack);
     defaults to the raw gate delays.  `weights` overrides the per-edge FF
-    counts as in `arrivals`.
+    counts (a retiming's weights).
     """
     if eff is None:
         eff = c.delays

@@ -91,7 +91,7 @@ def cmd_retime(args) -> int:
         if r is None:
             print("infeasible")
             return EXIT_INFEASIBLE
-    print("retiming " + " ".join(f"{g.name}={r.labels[g.id]}" for g in c.gates))
+    print("retiming " + " ".join(f"{g.name}={r[g.id]}" for g in c.gates))
     return EXIT_OK
 
 
@@ -121,7 +121,7 @@ def cmd_budget(args) -> int:
                 }
                 for g in c.gates
             },
-            "retiming": {g.name: result.retiming.labels[g.id] for g in c.gates},
+            "retiming": {g.name: result.retiming[g.id] for g in c.gates},
             "diagnostics": diag,
         }
         _write(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -156,7 +156,6 @@ def cmd_bench(args) -> int:
             cases.append((f"case{i:03d}",
                           generate_random(n, edge_density=1.8, ff_prob=0.4,
                                           seed=args.seed * 10007 + i)))
-    cases.sort(key=lambda t: t[0])
     default_curve = json.dumps({"default": [[0, 100], [10, 60], [20, 30], [33, 10]]})
     rows = []
     for name, c in cases:

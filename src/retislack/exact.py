@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit
 from .power import PowerSlackCurve
-from .retime import Retiming, feasible_retiming
+from .retime import feasible_retiming
 
 
 class OracleError(ValueError):
@@ -22,7 +22,6 @@ class OracleResult:
     power: int
     levels: tuple[int, ...]
     slacks: tuple[int, ...]
-    retiming: Retiming
 
     @property
     def total_slack(self) -> int:
@@ -49,7 +48,7 @@ def brute_force(c: Circuit, T: int, curves: dict[int, PowerSlackCurve]) -> Oracl
     tail = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
         tail[j] = tail[j + 1] + minpow[j]
-    best: list = [None, None, None]  # power, levels, retiming
+    best: list = [None, None]  # power, levels
 
     levels = [0] * n
     eff = [delays[j] + curves[j].slacks[0] for j in range(n)]
@@ -58,13 +57,10 @@ def brute_force(c: Circuit, T: int, curves: dict[int, PowerSlackCurve]) -> Oracl
         if best[0] is not None and acc + tail[j] >= best[0]:
             return
         # minimum-slack completion of this prefix
-        r = feasible_retiming(c, T, eff)
-        if r is None:
+        if feasible_retiming(c, T, eff) is None:
             return
         if j == n:
-            best[0] = acc
-            best[1] = tuple(levels)
-            best[2] = r
+            best[:] = acc, tuple(levels)
             return
         cur = curves[j]
         for q in range(cur.nlevels):
@@ -77,6 +73,5 @@ def brute_force(c: Circuit, T: int, curves: dict[int, PowerSlackCurve]) -> Oracl
     dfs(0, 0)
     if best[0] is None:
         return None
-    lv = best[1]
-    slacks = tuple(curves[j].slacks[lv[j]] for j in range(n))
-    return OracleResult(best[0], lv, slacks, best[2])
+    power, lv = best
+    return OracleResult(power, lv, tuple(curves[j].slacks[q] for j, q in enumerate(lv)))

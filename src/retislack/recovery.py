@@ -21,7 +21,7 @@ from time import perf_counter
 from .circuit import Circuit, CircuitError, IncrementalTiming, sta
 from .mcf import residual_potentials, solve_mcf, ssp_oracle
 from .power import PowerSlackCurve, breakpoints
-from .retime import Retiming, RetimingError, feasible_retiming, min_period, retimed_weights
+from .retime import RetimingError, feasible_retiming, min_period, retimed_weights
 from .transform import DualGraph, expand, split_graph
 
 
@@ -60,7 +60,7 @@ class SlackAssignment:
 @dataclass(frozen=True)
 class BudgetResult:
     assignment: SlackAssignment
-    retiming: Retiming
+    retiming: tuple[int, ...]  # label per gate, smallest 0
     period: int            # period constraint used
     achieved_period: int   # max arrival under the final retiming
     diagnostics: dict = field(default_factory=dict, compare=False)

@@ -1,22 +1,20 @@
 """Retiming: FF relocation via integer vertex labels.
 
-A retiming r moves label r_i FFs from the outgoing to the incoming edges of
-gate i; edge (i, j) ends up with w_ij + r_j - r_i FFs, which must stay
-nonnegative.  Feasibility at a period is decided by iterated relabeling
-(FEAS of Leiserson & Saxe: arrival times are recomputed and every violating
-gate absorbs one FF), a label-correcting scheme on the underlying
-difference-constraint system.  An infeasible period is usually proved long
-before the |V| + 1 round bound: each increment records the start of the
-critical path that forced it, and a cycle among those records certifies
-infeasibility (early termination after Shenoy & Rudell).  That test,
-`feasible_retiming`, is the one feasibility kernel: the minimum-period
-search, `recovery.finalize` and `exact.brute_force` all call it.  The
-minimum period is found by binary search between the largest delay and the
-unretimed period.
+A retiming is a tuple r of integer labels, one per gate: r_i FFs move from
+the outgoing to the incoming edges of gate i, so edge (i, j) ends up with
+w_ij + r_j - r_i FFs, which must stay nonnegative.  Feasibility at a period
+is decided by iterated relabeling (FEAS of Leiserson & Saxe: arrival times
+are recomputed and every violating gate absorbs one FF), a label-correcting
+scheme on the underlying difference-constraint system.  An infeasible
+period is usually proved long before the |V| + 1 round bound: each
+increment records the start of the critical path that forced it, and a
+cycle among those records certifies infeasibility (early termination after
+Shenoy & Rudell).  That test, `feasible_retiming`, is the one feasibility
+kernel: the minimum-period search, `recovery.finalize` and
+`exact.brute_force` all call it.  The minimum period is found by binary
+search between the largest delay and the unretimed period.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .circuit import Circuit, _forward, arrivals
 
@@ -25,16 +23,10 @@ class RetimingError(ValueError):
     """Illegal retiming (some edge would get a negative FF count)."""
 
 
-@dataclass(frozen=True)
-class Retiming:
-    labels: tuple[int, ...]
-
-
-def retimed_weights(c: Circuit, r: Retiming) -> list[int]:
-    lab = r.labels
+def retimed_weights(c: Circuit, r: tuple[int, ...]) -> list[int]:
     out = []
     for e in c.edges:
-        w = e.w + lab[e.dst] - lab[e.src]
+        w = e.w + r[e.dst] - r[e.src]
         if w < 0:
             raise RetimingError(
                 f"edge ({e.src}, {e.dst}): FF count {w} negative under retiming")
@@ -55,7 +47,7 @@ def _parent_cycle(parent: list[int], starts) -> bool:
     return False
 
 
-def feasible_retiming(c: Circuit, T: int, eff=None) -> Retiming | None:
+def feasible_retiming(c: Circuit, T: int, eff=None) -> tuple[int, ...] | None:
     """A legal retiming meeting period T under effective delays, or None.
 
     Iterated relabeling from the zero retiming: each round, every gate whose
@@ -78,7 +70,7 @@ def feasible_retiming(c: Circuit, T: int, eff=None) -> Retiming | None:
         bad = [i for i in range(n) if a[i] > T]
         if not bad:
             base = min(r)
-            return Retiming(tuple(x - base for x in r))
+            return tuple(x - base for x in r)
         # Bad gate v ends a zero-FF path P from src[v] = u longer than T,
         # so every solution has r_v >= r_u + 1 - W(P).  This round's
         # increment makes that bound tight, and it only loosens as r_u rises
@@ -101,13 +93,13 @@ def feasible_retiming(c: Circuit, T: int, eff=None) -> Retiming | None:
     return None
 
 
-def min_period(c: Circuit, eff=None) -> tuple[int, Retiming]:
+def min_period(c: Circuit, eff=None) -> tuple[int, tuple[int, ...]]:
     """Smallest integer period with a feasible retiming, plus a witness."""
     if eff is None:
         eff = c.delays
     lo = max(eff)
     hi = max(arrivals(c, eff))  # the unretimed period, met by the zero retiming
-    best = (hi, Retiming((0,) * c.n))
+    best = (hi, (0,) * c.n)
     while lo < hi:
         mid = (lo + hi) // 2
         r = feasible_retiming(c, mid, eff)

@@ -6,7 +6,7 @@ circuits beyond desk scale with retislack.exact.OracleError.
 """
 from collections import deque
 
-from retislack.circuit import Circuit, arrivals
+from retislack.circuit import Circuit, _forward, arrivals
 from retislack.exact import OracleError
 
 
@@ -104,8 +104,8 @@ def oracle_min_period(c: Circuit, eff=None) -> int:
                 # longest zero-FF arrival among the assigned gates; an edge
                 # with an unassigned end counts as carrying an FF (a legal
                 # partial retiming leaves no zero-FF cycle)
-                a = arrivals(c, eff, [wcur[k] if assigned[e.src] and assigned[e.dst]
-                                      else 1 for k, e in enumerate(c.edges)])
+                a = _forward(c, eff, [wcur[k] if assigned[e.src] and assigned[e.dst]
+                                      else 1 for k, e in enumerate(c.edges)])[1]
                 p = max(a[v] for v in seq if assigned[v])
                 if p < best[0]:
                     if i + 1 == len(seq):

@@ -7,8 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import (Retiming, cli, load_curves, parse_circuit, recovery,
-                       run_pipeline)
+from retislack import cli, load_curves, parse_circuit, recovery, run_pipeline
 from retislack.cli import main
 from conftest import RING3_TEXT
 
@@ -193,7 +192,7 @@ def _spoil(monkeypatch, stage, **changes):
 @pytest.mark.parametrize("stage, changes, msg", [
     ("ssp_oracle", {"cost": -1}, "disagrees with the cross-check -1"),
     # an illegal retiming, not an input error
-    ("finalize", {"retiming": Retiming((5, 0, 0))},
+    ("finalize", {"retiming": (5, 0, 0)},
      "edge (0, 1): FF count -5 negative under retiming"),
     ("finalize", {"achieved_period": 4}, "achieved period mismatch"),
 ], ids=["flow_cost", "retiming", "achieved_period"])
@@ -316,6 +315,15 @@ def test_bench_negative_count_is_input_error(capsys):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --gen -2")
+
+
+def test_bench_rows_keep_the_case_order_past_999(capsys, monkeypatch):
+    # case1000 comes after case999; a sort by name puts it after case100
+    one = parse_circuit("gate a 1\n")
+    monkeypatch.setattr(cli, "generate_random", lambda *args, **kwargs: one)
+    assert main(["bench", "--gen", "1001"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["name"] for r in rows[:-2]] == [f"case{i:03d}" for i in range(1001)]
 
 
 def test_bench_footer_rows_leave_unset_fields_blank(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Exhaustive and MILP reference solvers."""
+import dataclasses
+
 import pytest
 
 from retislack import brute_force, generate_random, make_curve, parse_circuit
-from retislack.exact import OracleError
+from retislack.exact import OracleError, OracleResult
 from retislack.retime import min_period
 from conftest import curves_for
 from milp_oracle import optimum
@@ -43,6 +45,11 @@ def test_brute_force_tie_breaks_lexicographically():
     opt = brute_force(c, 50, flat)
     assert opt.power == 10
     assert opt.levels == (0, 0)  # every vector ties; smallest wins
+
+
+def test_oracle_result_keeps_no_witness_retiming():
+    names = [f.name for f in dataclasses.fields(OracleResult)]
+    assert names == ["power", "levels", "slacks"]
 
 
 def test_brute_force_guards():

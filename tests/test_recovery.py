@@ -208,6 +208,15 @@ def test_pipeline_correlator_checks_and_stays_above_the_optimum(T):
     assert res.total_power >= brute_force(c, T, curves).power
 
 
+def test_pipeline_retiming_is_a_label_tuple(ring3):
+    with open("fixtures/correlator.ckt") as f:
+        correlator = parse_circuit(f.read())
+    for c in (ring3, correlator):
+        r = run_pipeline(c, curves_for(c)).retiming
+        assert type(r) is tuple and len(r) == c.n
+        assert all(type(x) is int for x in r) and min(r) == 0
+
+
 @pytest.mark.xfail(strict=True, reason="a gate with no fanin edge carries no "
                    "curve in the flow, so its power never enters the flow cost")
 def test_pipeline_prices_a_gate_with_no_fanin():

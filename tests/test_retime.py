@@ -4,29 +4,28 @@ import random
 
 import pytest
 
-from retislack import (Circuit, Edge, Gate, Retiming, RetimingError,
-                       feasible_retiming, generate_random, parse_circuit, sta)
-from retislack.circuit import arrivals
+from retislack import (Circuit, Edge, Gate, RetimingError, feasible_retiming,
+                       generate_random, parse_circuit, sta)
+from retislack.circuit import _forward, arrivals
 from retislack.retime import min_period, retimed_weights
 from conftest import RING3_TEXT
 from period_oracle import oracle_min_period
 
 
 def test_zero_retiming_is_identity(ring3):
-    r = Retiming((0, 0, 0))
-    assert retimed_weights(ring3, r) == [e.w for e in ring3.edges]
+    assert retimed_weights(ring3, (0, 0, 0)) == [e.w for e in ring3.edges]
 
 
 def test_retiming_moves_ff_between_ring_edges(ring3):
     # pull the FF of (c->a) onto (b->c)
-    weights = retimed_weights(ring3, Retiming((0, 0, 1)))
+    weights = retimed_weights(ring3, (0, 0, 1))
     assert weights == [0, 2, 0]
     assert sum(weights) == sum(e.w for e in ring3.edges)
 
 
 def test_illegal_retiming_rejected(ring3):
     with pytest.raises(RetimingError, match="negative"):
-        retimed_weights(ring3, Retiming((2, 0, 0)))
+        retimed_weights(ring3, (2, 0, 0))
 
 
 def test_cycle_ff_count_invariant():
@@ -69,7 +68,20 @@ def test_feasible_retiming_ring3():
 def test_feasible_retiming_accepts_already_met(ring3):
     r = feasible_retiming(ring3, sum(ring3.delays))
     assert r is not None
-    assert min(r.labels) == 0  # normalized
+    assert min(r) == 0  # normalized
+
+
+def test_retimings_are_label_tuples_with_smallest_label_0():
+    # one int label per gate, from the search, the minimum-period bisection
+    # and the unretimed witness alike
+    for seed in range(10):
+        c = generate_random(8, edge_density=1.8, ff_prob=0.5, seed=seed)
+        t, r = min_period(c)
+        for lab in (r, feasible_retiming(c, t), feasible_retiming(c, sum(c.delays))):
+            assert type(lab) is tuple and len(lab) == c.n
+            assert all(type(x) is int for x in lab) and min(lab) == 0
+    # no edge: the largest delay is the unretimed period, so no search runs
+    assert min_period(parse_circuit("gate a 2\ngate b 3\n")) == (3, (0, 0))
 
 
 def _union(a, b):
@@ -101,7 +113,7 @@ def _exhaustively_feasible(c, T):
     n = c.n
     for labels in itertools.product(range(-n, n + 1), repeat=n):
         try:
-            weights = retimed_weights(c, Retiming(labels))
+            weights = retimed_weights(c, labels)
         except RetimingError:
             continue
         if max(sta(c, T, weights=weights).arrival) <= T:
@@ -126,7 +138,7 @@ def test_min_period_matches_oracle_on_odd_inputs():
     for c in _odd_circuits():
         t, r = min_period(c)
         assert t == oracle_min_period(c)
-        assert min(r.labels) == 0  # normalized, like every witness
+        assert min(r) == 0  # normalized, like every witness
         assert max(sta(c, t, weights=retimed_weights(c, r)).arrival) <= t
 
 
@@ -136,7 +148,7 @@ def _relabel_rounds(c, T, eff, rounds):
     ok = False
     for _ in range(rounds):
         weights = [e.w + r[e.dst] - r[e.src] for e in c.edges]
-        bad = [i for i, a in enumerate(arrivals(c, eff, weights)) if a > T]
+        bad = [i for i, a in enumerate(_forward(c, eff, weights)[1]) if a > T]
         if not bad:
             ok = True
             break
@@ -167,7 +179,7 @@ def test_feas_matches_round_by_round_relabeling():
         ref_ok, ref = _relabel_rounds(c, T, eff, c.n + 1)
         assert (r is not None) == ref_ok
         if ref_ok:
-            assert r.labels == ref
+            assert r == ref
             retimed_weights(c, r)  # raises if illegal
 
 
@@ -196,17 +208,17 @@ def test_feas_witness_is_the_least_legal_labeling():
         period = {}  # legal label vector -> its max arrival
         for labels in itertools.product(range(c.n + 1), repeat=c.n):
             try:
-                weights = retimed_weights(c, Retiming(labels))
+                weights = retimed_weights(c, labels)
             except RetimingError:
                 continue
-            period[labels] = max(arrivals(c, eff, weights))
+            period[labels] = max(_forward(c, eff, weights)[1])
         for T in range(max(eff), max(arrivals(c, eff)) + 1):
             meets = [v for v, p in period.items() if p <= T]
             got = feasible_retiming(c, T, eff)
             assert (got is not None) == bool(meets)
             if meets:
-                assert got.labels == tuple(map(min, zip(*meets)))
-                raised += any(got.labels)
+                assert got == tuple(map(min, zip(*meets)))
+                raised += any(got)
     assert raised > 50  # witnesses that had to move some FF
 
 
