@@ -141,12 +141,11 @@ def cmd_bench(args) -> int:
     cases = []
     if args.dir:
         try:
-            names = sorted(os.listdir(args.dir))
+            names = sorted(fn[:-4] for fn in os.listdir(args.dir) if fn.endswith(".ckt"))
         except OSError as e:
             raise CircuitError(f"cannot read {args.dir}: {e}") from None
-        for fn in names:
-            if fn.endswith(".ckt"):
-                cases.append((fn[:-4], _load(os.path.join(args.dir, fn), parse_circuit)))
+        for name in names:
+            cases.append((name, _load(os.path.join(args.dir, name + ".ckt"), parse_circuit)))
     else:
         if args.gen < 0:
             raise CircuitError(f"--gen {args.gen}: negative case count")

@@ -60,7 +60,8 @@ def brute_force(c: Circuit, T: int, curves: dict[int, PowerSlackCurve]) -> Oracl
         if feasible_retiming(c, T, eff) is None:
             return
         if j == n:
-            best[:] = acc, tuple(levels)
+            best[0] = acc
+            best[1] = tuple(levels)
             return
         cur = curves[j]
         for q in range(cur.nlevels):
@@ -73,5 +74,6 @@ def brute_force(c: Circuit, T: int, curves: dict[int, PowerSlackCurve]) -> Oracl
     dfs(0, 0)
     if best[0] is None:
         return None
-    power, lv = best
-    return OracleResult(power, lv, tuple(curves[j].slacks[q] for j, q in enumerate(lv)))
+    lv = best[1]
+    slacks = tuple(curves[j].slacks[lv[j]] for j in range(n))
+    return OracleResult(best[0], lv, slacks)

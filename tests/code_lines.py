@@ -1,6 +1,6 @@
 """Line counts of the library, per module and in total.
 
-Usage: python tests/code_lines.py [package_dir]   (default: src/retislack)
+Usage: python tests/code_lines.py
 
 `lines` is what `wc -l` prints.  `code` leaves out blank lines, lines that
 hold only a `#` comment, and the lines of module, class and function
@@ -24,9 +24,9 @@ def counts(text: str) -> tuple[int, int]:
     return text.count("\n"), code
 
 
-def main(argv: list[str]) -> int:
-    root = argv[0] if argv else os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "retislack")
+def main() -> int:
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "src", "retislack")
     total = [0, 0]
     print(f"{'module':<16}{'lines':>7}{'code':>7}")
     for name in sorted(os.listdir(root)):
@@ -41,4 +41,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -326,6 +326,16 @@ def test_bench_rows_keep_the_case_order_past_999(capsys, monkeypatch):
     assert [r["name"] for r in rows[:-2]] == [f"case{i:03d}" for i in range(1001)]
 
 
+def test_bench_dir_rows_follow_the_case_names(tmp_path, capsys):
+    # by case name, "a" before "a-b"; by file name, "a-b.ckt" sorts first
+    for name in ("a-b", "a"):
+        write(tmp_path, name + ".ckt", "gate g 1\n")
+    write(tmp_path, "notes.txt", "not a circuit\n")
+    assert main(["bench", "--dir", str(tmp_path)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["name"] for r in rows[:-2]] == ["a", "a-b"]
+
+
 def test_bench_footer_rows_leave_unset_fields_blank(tmp_path, capsys):
     # Avg fills name, power_flow, slack_flow and runtime_ms; Diff fills name,
     # and power_flow and slack_flow only when some case met the oracle

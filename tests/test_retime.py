@@ -71,19 +71,6 @@ def test_feasible_retiming_accepts_already_met(ring3):
     assert min(r) == 0  # normalized
 
 
-def test_retimings_are_label_tuples_with_smallest_label_0():
-    # one int label per gate, from the search, the minimum-period bisection
-    # and the unretimed witness alike
-    for seed in range(10):
-        c = generate_random(8, edge_density=1.8, ff_prob=0.5, seed=seed)
-        t, r = min_period(c)
-        for lab in (r, feasible_retiming(c, t), feasible_retiming(c, sum(c.delays))):
-            assert type(lab) is tuple and len(lab) == c.n
-            assert all(type(x) is int for x in lab) and min(lab) == 0
-    # no edge: the largest delay is the unretimed period, so no search runs
-    assert min_period(parse_circuit("gate a 2\ngate b 3\n")) == (3, (0, 0))
-
-
 def _union(a, b):
     """Disjoint union of two circuits; b's gates are renamed and renumbered."""
     gates = a.gates + tuple(Gate(a.n + g.id, "u" + g.name, g.delay)
@@ -140,6 +127,8 @@ def test_min_period_matches_oracle_on_odd_inputs():
         assert t == oracle_min_period(c)
         assert min(r) == 0  # normalized, like every witness
         assert max(sta(c, t, weights=retimed_weights(c, r)).arrival) <= t
+    # no edge: the largest delay is the period, witnessed by the zero labels
+    assert min_period(parse_circuit("gate a 2\ngate b 3\n")) == (3, (0, 0))
 
 
 def _relabel_rounds(c, T, eff, rounds):
