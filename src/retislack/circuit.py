@@ -107,7 +107,7 @@ class TimingReport:
     slack: tuple[int, ...]
 
 
-def _forward(c: Circuit, eff, weights):
+def _forward(c: Circuit, eff, weights, cone=None, a=None, src=None):
     """Zero-FF topological order, latest arrival and critical source per gate.
 
     Kahn's algorithm over the edges whose weight is 0, relaxing each gate's
@@ -115,18 +115,46 @@ def _forward(c: Circuit, eff, weights):
     delay is a[v]: the source inherited from the fanin that set a[v], or v
     itself when no fanin arrives later than 0.  Raises CircuitError on a
     zero-FF cycle.
+
+    Given `cone`, some gates, and the lists `a` and `src` of an earlier
+    pass, only the cone's closure under zero-FF fanout is re-timed, in place,
+    and `order` holds just those gates; every other gate's entries are read
+    as they stand.  That is exact when each gate outside the closure has kept
+    its zero-FF fanin edges since `a` and `src` were computed.
     """
     n = c.n
-    edges = c.edges
-    indeg = [0] * n
-    for k, w in enumerate(weights):
-        if w == 0:
-            indeg[edges[k].dst] += 1
-    a = [0] * n  # latest fanin arrival until the gate is popped
-    src = list(range(n))
-    stack = [i for i in range(n) if indeg[i] == 0]
+    edges, fanout = c.edges, c.fanout
+    if cone is None:
+        indeg = [0] * n
+        for k, w in enumerate(weights):
+            if w == 0:
+                indeg[edges[k].dst] += 1
+        a = [0] * n  # latest fanin arrival until the gate is popped
+        src = list(range(n))
+        cone = range(n)
+    else:
+        indeg = dict.fromkeys(cone, 0)  # zero-FF fanins inside the closure
+        stack = list(indeg)
+        while stack:
+            for k in fanout[stack.pop()]:
+                if weights[k] == 0:
+                    v = edges[k].dst
+                    if v in indeg:
+                        indeg[v] += 1
+                    else:
+                        indeg[v] = 1
+                        stack.append(v)
+        fanin = c.fanin
+        for v in indeg:  # start from the fanins outside the closure
+            av, sv = 0, v
+            for k in fanin[v]:
+                u = edges[k].src
+                if a[u] > av and weights[k] == 0 and u not in indeg:
+                    av, sv = a[u], src[u]
+            a[v], src[v] = av, sv
+        cone = indeg
+    stack = [i for i in cone if indeg[i] == 0]
     order = []
-    fanout = c.fanout
     while stack:
         u = stack.pop()
         order.append(u)
@@ -141,7 +169,7 @@ def _forward(c: Circuit, eff, weights):
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     stack.append(v)
-    if len(order) != n:
+    if len(order) != len(cone):
         raise CircuitError("combinational cycle (zero-FF cycle)")
     return order, a, src
 

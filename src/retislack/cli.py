@@ -2,6 +2,8 @@
 
 Subcommands: sta, retime, budget, bench.  Exit codes: 0 success, 1 input
 error (a usage error too), 2 infeasible, 3 internal verification failure.
+A reader that closes standard output early (`| head`) ends the command
+quietly with 0: the rest of the output was not wanted.
 """
 from __future__ import annotations
 
@@ -245,7 +247,13 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse printed usage (code 2) or --help (0)
         return EXIT_INPUT if e.code else EXIT_OK
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here when stdout is buffered
+        return status
+    except BrokenPipeError:
+        # the interpreter's exit flush would raise again on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ValueError as e:  # CircuitError, CurveError and TransformError too
         if isinstance(e, InfeasiblePeriodError):
             print(f"infeasible: {e}", file=sys.stderr)

@@ -5,7 +5,10 @@ the outgoing to the incoming edges of gate i, so edge (i, j) ends up with
 w_ij + r_j - r_i FFs, which must stay nonnegative.  Feasibility at a period
 is decided by iterated relabeling (FEAS of Leiserson & Saxe: arrival times
 are recomputed and every violating gate absorbs one FF), a label-correcting
-scheme on the underlying difference-constraint system.  An infeasible
+scheme on the underlying difference-constraint system.  Only the first round
+times the whole circuit; each later one re-times just the zero-FF fanout cone
+of the gates it relabeled, as incremental difference-constraint solvers do
+(Ramalingam, Song, Joskowicz & Miller, Algorithmica 1999).  An infeasible
 period is usually proved long before the |V| + 1 round bound: each
 increment records the start of the critical path that forced it, and a
 cycle among those records certifies infeasibility (early termination after
@@ -51,10 +54,15 @@ def feasible_retiming(c: Circuit, T: int, eff=None) -> tuple[int, ...] | None:
     """A legal retiming meeting period T under effective delays, or None.
 
     Iterated relabeling from the zero retiming: each round, every gate whose
-    arrival exceeds T absorbs one FF.  The answer is conclusive: infeasible
-    as soon as the parent pointers from each incremented gate to the start
-    of its critical path close a cycle, and at the latest after |V| + 1
-    rounds.  The witness is normalized to a smallest label of 0.
+    arrival exceeds T absorbs one FF.  Only edges with one relabeled end
+    change weight, and one that drops to 0 FFs ends in the relabeled gates'
+    zero-FF fanout cone, so every gate outside the cone keeps its zero-FF
+    fanins and its arrival, which is at most T: rounds after the first
+    re-time the cone only and find the next violating gates there.  The
+    answer is conclusive: infeasible as soon as the parent pointers from
+    each incremented gate to the start of its critical path close a cycle,
+    and at the latest after |V| + 1 rounds.  The witness is normalized to a
+    smallest label of 0.
     """
     if eff is None:
         eff = c.delays
@@ -65,9 +73,10 @@ def feasible_retiming(c: Circuit, T: int, eff=None) -> tuple[int, ...] | None:
     r = [0] * n
     weights = [e.w for e in c.edges]
     parent = [-1] * n
+    cone = a = src = None
     for _ in range(n + 1):
-        _, a, src = _forward(c, eff, weights)
-        bad = [i for i in range(n) if a[i] > T]
+        order, a, src = _forward(c, eff, weights, cone, a, src)
+        bad = [i for i in order if a[i] > T]
         if not bad:
             base = min(r)
             return tuple(x - base for x in r)
@@ -90,6 +99,7 @@ def feasible_retiming(c: Circuit, T: int, eff=None) -> tuple[int, ...] | None:
                 weights[k] -= 1
         if _parent_cycle(parent, bad):
             return None
+        cone = bad
     return None
 
 

@@ -183,6 +183,70 @@ def test_sta_weights_match_retimed_circuit():
     assert moved > 40
 
 
+def _zero_ff_closure(c, weights, gates):
+    seen, stack = set(gates), list(gates)
+    while stack:
+        for k in c.fanout[stack.pop()]:
+            v = c.edges[k].dst
+            if weights[k] == 0 and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def test_forward_over_a_relabeled_cone_matches_a_full_pass():
+    # rounds of relabeling a random legal gate set, each re-timed over the
+    # set's zero-FF fanout cone only, on circuits with zero-delay gates,
+    # self-loops and parallel edges
+    rng = random.Random(31)
+    partial = 0
+    for seed in range(120):
+        base = generate_random(rng.randint(1, 40), edge_density=rng.uniform(0.5, 3.0),
+                               ff_prob=rng.uniform(0.1, 0.8),
+                               delay_range=(0, 3) if seed % 2 else (1, 10), seed=seed)
+        loops = tuple(Edge(i, i, rng.choice((1, 2))) for i in range(base.n)
+                      if rng.random() < 0.2)
+        twins = tuple(Edge(e.src, e.dst, e.w + rng.choice((0, 0, 1)))
+                      for e in base.edges if rng.random() < 0.2)
+        c = Circuit(base.gates, base.edges + loops + twins)
+        eff = [d + rng.choice((0, 0, 3)) for d in c.delays]
+        weights = [e.w for e in c.edges]
+        _, a, src = circuit._forward(c, eff, weights)
+        for _ in range(4):
+            moved = {i for i in range(c.n) if rng.random() < 0.3}
+            while True:  # a gate with a zero-FF edge leaving the set keeps its label
+                stuck = {e.src for e, w in zip(c.edges, weights)
+                         if w == 0 and e.src in moved and e.dst not in moved}
+                if not stuck:
+                    break
+                moved -= stuck
+            for k, e in enumerate(c.edges):
+                weights[k] += (e.dst in moved) - (e.src in moved)
+            order, a, src = circuit._forward(c, eff, weights, moved, a, src)
+            full, a_full, _ = circuit._forward(c, eff, weights)
+            assert a == a_full
+            cone = _zero_ff_closure(c, weights, moved)
+            assert set(order) == cone and len(order) == len(cone)
+            pos = {v: p for p, v in enumerate(order)}
+            for e, w in zip(c.edges, weights):
+                if w == 0 and e.src in pos:
+                    assert pos[e.src] < pos[e.dst]
+            partial += 0 < len(cone) < c.n
+            # src[v] starts a zero-FF path ending at v whose delay is a[v]
+            for s in set(src):
+                longest = {s: eff[s]}  # longest zero-FF path from s
+                for u in full:
+                    if u in longest:
+                        for k in c.fanout[u]:
+                            v = c.edges[k].dst
+                            if weights[k] == 0:
+                                longest[v] = max(longest.get(v, 0), longest[u] + eff[v])
+                for v in range(c.n):
+                    if src[v] == s:
+                        assert longest.get(v) == a[v]
+    assert partial > 200
+
+
 def test_incremental_timing_matches_sta_after_each_decrement():
     # random single-level decrements and raises (finalize's fill raises
     # levels), under original and retimed weights, with and without

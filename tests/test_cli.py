@@ -3,7 +3,11 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from retislack import cli, load_curves, parse_circuit, recovery, run_pipeline
 from retislack.cli import main
 from conftest import RING3_TEXT
 
+ROOT = Path(__file__).resolve().parents[1]
 CURVES_TEXT = '{"default": [[0, 100], [10, 60], [20, 30], [33, 10]]}'
 
 
@@ -95,6 +100,25 @@ def test_retime_reports_min_period(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Tmin 5" in out
     assert "retiming" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_quietly(unbuffered):
+    # the read end is closed before the child starts, so its first write (or
+    # its flush, when stdout is buffered) fails every time
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        run = subprocess.run([sys.executable, "-m", "retislack.cli", "retime",
+                              "fixtures/correlator.ckt"], cwd=ROOT, env=env,
+                             stdout=w, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(w)
+    assert run.stderr == b""
+    assert run.returncode == cli.EXIT_OK
 
 
 def test_retime_fixed_period(tmp_path, capsys):

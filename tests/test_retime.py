@@ -172,6 +172,25 @@ def test_feas_matches_round_by_round_relabeling():
             retimed_weights(c, r)  # raises if illegal
 
 
+def test_feas_matches_round_by_round_relabeling_at_scale():
+    # rounds after the first re-time only the relabeled gates' cone; at 150 to
+    # 650 gates, periods from the largest delay (None must agree) through the
+    # minimum period up to the unretimed period
+    rng = random.Random(13)
+    for n, seed in ((150, 1), (300, 2), (650, 7), (650, 42)):
+        c = generate_random(n, edge_density=2.2, ff_prob=0.4, seed=seed)
+        # the seed-42 circuit at its raw delays, the others with granted slack
+        eff = c.delays if seed == 42 else [d + rng.choice((0, 0, 2, 7)) for d in c.delays]
+        tmin, _ = min_period(c, eff)
+        top = max(arrivals(c, eff))
+        for T in sorted({max(eff), tmin - 1, tmin, (tmin + top) // 2, top}):
+            r = feasible_retiming(c, T, eff)
+            ref_ok, ref = _relabel_rounds(c, T, eff, c.n + 1)
+            assert (r is not None) == ref_ok == (T >= tmin)
+            if ref_ok:
+                assert r == ref
+
+
 def _with_self_loops(c, rng):
     """c plus a one- or two-FF self-loop on a random subset of its gates."""
     loops = tuple(Edge(i, i, rng.choice((1, 2))) for i in range(c.n)
