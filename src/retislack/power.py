@@ -2,17 +2,18 @@
 
 A curve is two equal-length tuples of integers: strictly increasing slack
 levels, none negative, and the power at each.  Power is nonincreasing and
-convex in slack: the segment slope magnitudes (the breakpoints, exact
-rationals) are nonincreasing from left to right.  The constructor enforces
-all of this, so every curve is valid.  Every gate that uses the same
-curve-file entry gets the same object.  Curves compare and hash by value,
-and `transform` expands each distinct curve once.
+convex in slack: the segment slope magnitudes (the breakpoints) are
+nonincreasing from left to right.  The constructor enforces all of this,
+so every curve is valid.  `breakpoints` gives each slope as the integer
+pair (power drop, slack step), so callers compare and scale slopes exactly
+without rationals.  Every gate that uses the same curve-file entry gets
+the same object.  Curves compare and hash by value, and `transform`
+expands each distinct curve once.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .circuit import Circuit
 
@@ -58,11 +59,11 @@ def make_curve(pairs) -> PowerSlackCurve:
     return PowerSlackCurve(tuple(s for s, _ in pairs), tuple(p for _, p in pairs))
 
 
-def breakpoints(curve: PowerSlackCurve) -> list[Fraction]:
-    """Slope magnitudes b(2)..b(L); empty for a single-level curve."""
-    s = curve.slacks
-    p = curve.powers
-    return [Fraction(p[q - 1] - p[q], s[q] - s[q - 1]) for q in range(1, len(s))]
+def breakpoints(curve: PowerSlackCurve) -> list[tuple[int, int]]:
+    """Slope magnitudes b(2)..b(L), each as the unreduced integer pair
+    (power drop, slack step) of its segment; empty for a single-level curve."""
+    s, p = curve.slacks, curve.powers
+    return [(p0 - p1, s1 - s0) for s0, s1, p0, p1 in zip(s, s[1:], p, p[1:])]
 
 
 def load_curves(text: str, c: Circuit) -> dict[int, PowerSlackCurve]:

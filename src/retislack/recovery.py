@@ -9,10 +9,14 @@ retiming does not come from the flow: `finalize` bisects on a uniform
 scaling of the snapped budget down towards every gate's smallest level,
 with one feasibility search (retime.feasible_retiming) per probe, and then
 raises levels under the winning retiming while static timing shows slack
-for them.
+for them.  The arithmetic is integer throughout: each gate's levels along
+the scaling rise at thresholds computed once, a probe above a feasible one
+starts its search from that one's retiming, and the fill orders its steps
+by integer keys, each slope scaled by the lcm of the curves' slack steps.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
@@ -134,6 +138,15 @@ def _snap(cur: PowerSlackCurve, slack: int) -> int:
     return max(bisect_right(cur.slacks, slack) - 1, 0)
 
 
+def _thresholds(cur: PowerSlackCurve, s: int) -> list[int]:
+    """For each level q >= 1 with slack at most s, the least k at which
+    s0 + k (s - s0) // K reaches it: ceil((slack_q - s0) K / (s - s0)).
+    The number of thresholds at most k is the level _snap gives at k."""
+    s0 = cur.slacks[0]
+    return [-((x - s0) * K // (s0 - s))
+            for x in cur.slacks[1:bisect_right(cur.slacks, s)]]
+
+
 def snap_levels(sbar, curves: dict[int, PowerSlackCurve], delays) -> SlackAssignment:
     """Project delay-plus-slack values down onto each gate's level grid."""
     cs = [curves[j] for j in range(len(sbar))]
@@ -146,26 +159,32 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
     """Make the assignment legal at period T, then spend the slack left over.
 
     Bisection: at integer k in [0, K], gate j gets s0 + k (s - s0) // K, its
-    assigned slack s scaled towards its smallest level s0, snapped down.
-    Feasibility is monotone in k, since lower delays keep every retiming
-    feasible.  k = K goes first, so a feasible assignment is kept; at most
-    12 probes find the largest feasible k, and a failure at k = 0 means T
-    is below the minimum period.  Fill (the discrete zero-slack algorithm
-    of Nair, Berman, Hauge & Yoffa, IEEE TCAD 1989): under that retiming,
-    gates rise one level at a time while their slack covers the step,
-    largest power drop per slack unit first (ties: gate id).
+    assigned slack s scaled towards its smallest level s0, snapped down:
+    one bisect of k into the gate's level thresholds.  Feasibility is
+    monotone in k, since lower delays keep every retiming feasible.  k = K
+    goes first, so a feasible assignment is kept; at most 12 probes find the
+    largest feasible k, and a failure at k = 0 means T is below the minimum
+    period.  A probe above a feasible k starts FEAS from that k's witness:
+    delays only rise with k, so the witness is a lower bound of the probe's
+    least solution, and the answer is the cold one.  Fill (the discrete
+    zero-slack algorithm of Nair, Berman, Hauge & Yoffa, IEEE TCAD 1989):
+    under that retiming, gates rise one level at a time while their slack
+    covers the step, largest power drop per slack unit first (ties: gate
+    id), keyed exactly by drop * (L // step) for L the lcm of the slack
+    steps of the call's curves.
     """
     cs = [curves[j] for j in range(c.n)]
+    thresholds = [_thresholds(cur, s) for cur, s in zip(cs, assignment.slacks)]
     # every k >= hi is infeasible; lo is the largest feasible k probed.
     # seen maps each probed level vector to (eff, retiming or None):
     # neighbouring k often snap alike, and a repeat costs no search
     seen, lo, hi, k, best = {}, -1, K + 1, K, None
     while hi - lo > 1:
-        levels = tuple(_snap(cur, cur.slacks[0] + k * (s - cur.slacks[0]) // K)
-                       for cur, s in zip(cs, assignment.slacks))
+        levels = tuple(bisect_right(t, k) for t in thresholds)
         if levels not in seen:
             eff = [d + cur.slacks[q] for d, cur, q in zip(c.delays, cs, levels)]
-            seen[levels] = eff, feasible_retiming(c, T, eff)
+            warm = None if best is None else seen[best][1]
+            seen[levels] = eff, feasible_retiming(c, T, eff, warm)
         if seen[levels][1] is None:
             hi = k
         else:
@@ -178,8 +197,11 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
     # a step within gate j's slack keeps every arrival within its required
     # time; raises only lower slacks, so a gate that fails once is dropped
     timing = IncrementalTiming(c, T, eff, retimed_weights(c, r))
-    neg_bps = {cur: [-b for b in breakpoints(cur)] for cur in set(cs)}
-    heap = [(neg_bps[cur][q], j) for j, (cur, q) in enumerate(zip(cs, levels))
+    bps = {cur: breakpoints(cur) for cur in set(cs)}
+    lcm = math.lcm(*(step for bs in bps.values() for _, step in bs))
+    keys = {cur: [-drop * (lcm // step) for drop, step in bs]
+            for cur, bs in bps.items()}
+    heap = [(keys[cur][q], j) for j, (cur, q) in enumerate(zip(cs, levels))
             if q + 1 < cur.nlevels]
     heapify(heap)
     start = sum(levels)
@@ -191,7 +213,7 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
         levels[j] = q + 1
         timing.set_delay(j, c.delays[j] + cur.slacks[q + 1])
         if q + 2 < cur.nlevels:
-            heappush(heap, (neg_bps[cur][q + 1], j))
+            heappush(heap, (keys[cur][q + 1], j))
     # one gate id per level the gate ends below its snapped level
     drained = [j for j, (q0, q) in enumerate(zip(assignment.levels, levels))
                for _ in range(q0 - q)]

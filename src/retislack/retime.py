@@ -50,36 +50,48 @@ def _parent_cycle(parent: list[int], starts) -> bool:
     return False
 
 
-def feasible_retiming(c: Circuit, T: int, eff=None) -> tuple[int, ...] | None:
-    """A legal retiming meeting period T under effective delays, or None.
+def feasible_retiming(c: Circuit, T: int, eff=None,
+                      start=None) -> tuple[int, ...] | None:
+    """The least legal retiming at or above `start` meeting period T under
+    effective delays, or None when no retiming meets T.
 
-    Iterated relabeling from the zero retiming: each round, every gate whose
-    arrival exceeds T absorbs one FF.  Only edges with one relabeled end
-    change weight, and one that drops to 0 FFs ends in the relabeled gates'
-    zero-FF fanout cone, so every gate outside the cone keeps its zero-FF
-    fanins and its arrival, which is at most T: rounds after the first
-    re-time the cone only and find the next violating gates there.  The
-    answer is conclusive: infeasible as soon as the parent pointers from
-    each incremented gate to the start of its critical path close a cycle,
-    and at the latest after |V| + 1 rounds.  The witness is normalized to a
-    smallest label of 0.
+    Iterated relabeling from `start` (default: the zero retiming, whose
+    least solution has a smallest label of 0): each round, every gate whose
+    arrival exceeds T absorbs one FF.  Labels only rise and never pass the
+    least solution, so the answer is that solution, and a warm start below
+    it gives the cold answer.  Only edges with one relabeled end change
+    weight, and one that drops to 0 FFs ends in the relabeled gates' zero-FF
+    fanout cone, so every gate outside the cone keeps its zero-FF fanins and
+    its arrival, which is at most T: rounds after the first re-time the cone
+    only and find the next violating gates there.  The answer is conclusive:
+    infeasible as soon as the parent pointers from each incremented gate to
+    the start of its critical path close a cycle, and at the latest after n
+    rounds.  That bound holds from any legal start: the critical path of a
+    gate relabeled in round t > 1 starts at a gate relabeled in round t - 1,
+    so a search that relabels in t rounds leaves a chain of t + 1 gates,
+    each the critical-path start of the next, from round 1's start to round
+    t's relabel.  A gate met twice on the chain would close a walk like a
+    parent cycle's, so when T is feasible the gates are distinct, t < n, and
+    round t + 1 <= n finds no violation; the least solution from the zero
+    start has labels below n.  An illegal start raises RetimingError.
     """
     if eff is None:
         eff = c.delays
+    n = c.n
+    if start is None:
+        r, weights = [0] * n, [e.w for e in c.edges]
+    else:
+        r, weights = list(start), retimed_weights(c, start)
     if max(eff) > T:
         return None
-    n = c.n
     fanin, fanout = c.fanin, c.fanout
-    r = [0] * n
-    weights = [e.w for e in c.edges]
     parent = [-1] * n
     cone = a = src = None
-    for _ in range(n + 1):
+    for _ in range(n):
         order, a, src = _forward(c, eff, weights, cone, a, src)
         bad = [i for i in order if a[i] > T]
         if not bad:
-            base = min(r)
-            return tuple(x - base for x in r)
+            return tuple(r)
         # Bad gate v ends a zero-FF path P from src[v] = u longer than T,
         # so every solution has r_v >= r_u + 1 - W(P).  This round's
         # increment makes that bound tight, and it only loosens as r_u rises

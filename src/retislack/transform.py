@@ -27,12 +27,12 @@ sink gates by curve and builds one template per distinct curve: one
 parallel arc per usable curve level, at the level's slack offset, its
 capacity the drop between consecutive breakpoints, times D; a level whose
 drop is zero gives no arc.  D is the lcm of the reduced denominators of
-the slopes, read off integer pairs (power drop, slack step).  Curves are
-convex and never rise by construction, so no capacity is negative.  Each
-circuit edge emits its sink's template at arc cost -(lower_j - T*w +
-offset).  The result is a pure circulation instance with all lower bounds
-zero and no zero-capacity arc; each arc is a plain tuple
-(src, dst, cost, upper).
+the slopes, read off the integer pairs (power drop, slack step) of
+`power.breakpoints`.  Curves are convex and never rise by construction,
+so no capacity is negative.  Each circuit edge emits its sink's template
+at arc cost -(lower_j - T*w + offset).  The result is a pure circulation
+instance with all lower bounds zero and no zero-capacity arc; each arc is
+a plain tuple (src, dst, cost, upper).
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .power import PowerSlackCurve
+from .power import PowerSlackCurve, breakpoints
 
 
 class TransformError(ValueError):
@@ -117,10 +117,7 @@ def expand(g: DualGraph) -> FlowNetwork:
     groups: dict[PowerSlackCurve, list[int]] = {}
     for j in fanins:
         groups.setdefault(g.curves[j], []).append(j)
-    # each slope b(q) as the integer pair (power drop, slack step)
-    slopes = [[(p0 - p1, s1 - s0) for s0, s1, p0, p1 in
-               zip(cur.slacks, cur.slacks[1:], cur.powers, cur.powers[1:])]
-              for cur in groups]
+    slopes = [breakpoints(cur) for cur in groups]
     scale = math.lcm(1, *(den // math.gcd(num, den) for bs in slopes for num, den in bs))
     scaled = [[num * scale // den for num, den in bs] for bs in slopes]
     total = sum(sum(fanins[j] for j in js) * sum(xs)

@@ -1,7 +1,9 @@
 """Shared fixtures: small hand-built circuits and power curves."""
+from fractions import Fraction
+
 import pytest
 
-from retislack import make_curve, parse_circuit
+from retislack import breakpoints, make_curve, parse_circuit
 from retislack.transform import DualGraph
 
 # three-gate ring: one combinational edge, two FF edges
@@ -33,6 +35,12 @@ def curve4():
 def curves_for(c, pairs=None):
     cur = make_curve(pairs or CURVE4_PAIRS)
     return {g.id: cur for g in c.gates}
+
+
+def fraction_breakpoints(cur):
+    """The curve's slope magnitudes as exact rationals, from the integer
+    (power drop, slack step) pairs of `breakpoints`."""
+    return [Fraction(drop, step) for drop, step in breakpoints(cur)]
 
 
 def one_edge_graph(curve, shift=0):

@@ -6,17 +6,18 @@ import pytest
 
 from retislack import (CurveError, PowerSlackCurve, breakpoints, load_curves,
                        make_curve, parse_circuit)
-from conftest import CURVE4_PAIRS
+from conftest import CURVE4_PAIRS, fraction_breakpoints
 
 
 def test_breakpoints_four_level(curve4):
-    assert breakpoints(curve4) == [4, 3, Fraction(20, 13)]
-    assert all(type(b) is Fraction for b in breakpoints(curve4))
+    assert breakpoints(curve4) == [(40, 10), (30, 10), (20, 13)]
+    assert all(type(x) is int for pair in breakpoints(curve4) for x in pair)
+    assert fraction_breakpoints(curve4) == [4, 3, Fraction(20, 13)]
 
 
 def test_breakpoints_flat_and_single_segment():
-    assert breakpoints(make_curve([(0, 5), (10, 5)])) == [0]
-    assert breakpoints(make_curve([(0, 100), (33, 10)])) == [Fraction(90, 33)]
+    assert breakpoints(make_curve([(0, 5), (10, 5)])) == [(0, 10)]
+    assert breakpoints(make_curve([(0, 100), (33, 10)])) == [(90, 33)]
     assert breakpoints(make_curve([(0, 7)])) == []
 
 
@@ -70,7 +71,7 @@ def test_convexity_check_matches_rational_breakpoints():
         except CurveError as e:
             assert not convex and "non-convex" in str(e)
         else:
-            assert convex and breakpoints(cur) == steps
+            assert convex and fraction_breakpoints(cur) == steps
 
 
 def test_single_level_ok():
@@ -82,7 +83,7 @@ def test_curve_drop_matches_breakpoint_times_gap(curve4):
     s, p = curve4.slacks, curve4.powers
     bs = breakpoints(curve4)
     for q in range(1, curve4.nlevels):
-        assert p[q - 1] - p[q] == bs[q - 1] * (s[q] - s[q - 1])
+        assert bs[q - 1] == (p[q - 1] - p[q], s[q] - s[q - 1])
 
 
 def test_load_curves_default_and_override():

@@ -2,21 +2,26 @@
 import dataclasses
 import random
 import time
+from bisect import bisect_right
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 
 from retislack import (Circuit, Edge, breakpoints, brute_force,
-                       generate_random, make_curve, parse_circuit, recovery,
-                       run_pipeline, sta)
+                       feasible_retiming, generate_random, make_curve,
+                       parse_circuit, recovery, run_pipeline, sta)
+from retislack.circuit import IncrementalTiming
 from retislack.mcf import residual_potentials, solve_mcf
-from retislack.recovery import (BudgetResult, InfeasiblePeriodError,
-                                RecoveryError, SlackAssignment, finalize,
-                                min_slack_period, recover_duals,
-                                recover_slacks, snap_levels, verify_result)
+from retislack.recovery import (K, BudgetResult, InfeasiblePeriodError,
+                                RecoveryError, SlackAssignment, _snap,
+                                _thresholds, finalize, min_slack_period,
+                                recover_duals, recover_slacks, snap_levels,
+                                verify_result)
 from retislack.retime import retimed_weights
 from retislack.transform import expand, split_graph
-from conftest import CURVE3_PAIRS, curves_for
+from conftest import CURVE3_PAIRS, curves_for, fraction_breakpoints
+from test_mcf import _mixed_curve
 from test_retime import _union
 
 
@@ -177,6 +182,126 @@ def test_finalize_repairs_overbudget_assignment(ring3):
     weights = retimed_weights(ring3, res.retiming)
     eff = [ring3.delays[j] + res.assignment.slacks[j] for j in range(3)]
     assert max(sta(ring3, 5, eff, weights).arrival) <= 5
+
+
+def test_level_thresholds_match_the_scaled_snap(curve4):
+    # one bisect of k into a gate's thresholds is the level that its scaled
+    # slack s0 + k (s - s0) // K snaps down to, at every k in 0..K: for
+    # one-level curves, s = s0, slacks off the grid, and check_mixed's
+    # 1-7-level curves
+    rng = random.Random(37)
+    cs = [make_curve([(0, 9)]), make_curve([(3, 9)]), curve4,
+          make_curve(CURVE3_PAIRS), make_curve([(2, 50), (5, 20), (13, 4)])]
+    cs += [make_curve(_mixed_curve(rng)) for _ in range(30)]
+    for cur in cs:
+        s0 = cur.slacks[0]
+        for s in sorted({s0 - 1, s0, s0 + 1, *cur.slacks, cur.slacks[-1] + 3}):
+            thresholds = _thresholds(cur, s)
+            assert thresholds == sorted(thresholds)
+            for k in range(K + 1):
+                assert bisect_right(thresholds, k) == _snap(
+                    cur, s0 + k * (s - s0) // K)
+
+
+def _fill_two_gates(first, second, T):
+    """Levels finalize gives gates a -> b (delay 1 each, no FF) from level
+    0, with curve pairs `first` on a (id 0) and `second` on b (id 1)."""
+    c = parse_circuit("gate a 1\ngate b 1\nedge a b 0\n")
+    curves = {0: make_curve(first), 1: make_curve(second)}
+    res = finalize(c, T, curves, snap_levels([1, 1], curves, c.delays))
+    assert res.diagnostics["fill_steps"] == 1
+    return res.assignment.levels
+
+
+def test_fill_ties_equal_slopes_by_gate_id():
+    # slopes 20/10 and 2/1 are equal; the path's 10 units of slack take
+    # either step but not both, and the lower gate id takes it either way
+    steep, shallow = [(0, 200), (10, 180)], [(0, 10), (1, 8)]
+    assert _fill_two_gates(steep, shallow, 12) == (1, 0)
+    assert _fill_two_gates(shallow, steep, 12) == (1, 0)
+
+
+def test_fill_orders_near_equal_slopes_on_coprime_steps_exactly():
+    # (7m + 2) / 7 beats (11m + 3) / 11 by 1/77, below float resolution at
+    # m = 10**16; the 11 units of slack take one step, the steeper one
+    m = 10 ** 16
+    a, b = 7 * m + 2, 11 * m + 3
+    assert a / 7 == b / 11 and Fraction(a, 7) > Fraction(b, 11)
+    by7, by11 = [(0, a + 1), (7, 1)], [(0, b + 1), (11, 1)]
+    assert _fill_two_gates(by11, by7, 13) == (0, 1)
+    assert _fill_two_gates(by7, by11, 13) == (1, 0)
+
+
+def _reference_finalize(c, T, curves, asn):
+    """finalize with each probe's levels snapped from the scaled slack, cold
+    searches and a fill heap keyed by Fraction slopes: (levels, retiming,
+    probes)."""
+    cs = [curves[j] for j in range(c.n)]
+    seen, lo, hi, k, best = {}, -1, K + 1, K, None
+    while hi - lo > 1:
+        levels = tuple(_snap(cur, cur.slacks[0] + k * (s - cur.slacks[0]) // K)
+                       for cur, s in zip(cs, asn.slacks))
+        if levels not in seen:
+            eff = [d + cur.slacks[q] for d, cur, q in zip(c.delays, cs, levels)]
+            seen[levels] = eff, feasible_retiming(c, T, eff)
+        if seen[levels][1] is None:
+            hi = k
+        else:
+            lo, best = k, levels
+        k = (lo + hi) // 2
+    (eff, r), levels = seen[best], list(best)
+    timing = IncrementalTiming(c, T, eff, retimed_weights(c, r))
+    slopes = [fraction_breakpoints(cur) for cur in cs]
+    heap = [(-slopes[j][q], j) for j, q in enumerate(levels) if q + 1 < cs[j].nlevels]
+    heapify(heap)
+    while heap:
+        _, j = heappop(heap)
+        cur, q = cs[j], levels[j]
+        if timing.required[j] - timing.arrival[j] >= cur.slacks[q + 1] - cur.slacks[q]:
+            levels[j] = q + 1
+            timing.set_delay(j, c.delays[j] + cur.slacks[q + 1])
+            if q + 2 < cur.nlevels:
+                heappush(heap, (-slopes[j][q + 1], j))
+    return tuple(levels), r, len(seen)
+
+
+def _snapped(c, T, curves):
+    g = split_graph(c, T, curves)
+    net = expand(g)
+    dist = residual_potentials(net, solve_mcf(net), g.v0, sentinel=g.nff_bar)
+    return snap_levels(recover_slacks(g, c, recover_duals(g, dist)[1]),
+                       curves, c.delays)
+
+
+def test_finalize_matches_a_fraction_keyed_reference():
+    # the prime-slope ring (lcm of the slack steps: the product of 20
+    # primes) over a range of periods, then random circuits with coprime and
+    # check_mixed curves, from the snapped flow budget and from random levels
+    primes = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+              71, 73, 79, 83)
+    ring = parse_circuit("".join(f"gate g{i} 3\n" for i in range(20)) +
+                         "".join(f"edge g{i} g{(i + 1) % 20} {int(i % 3 == 2)}\n"
+                                 for i in range(20)))
+    prime_curves = {j: make_curve([(0, 1000), (p, 0)]) for j, p in enumerate(primes)}
+    cases = [(ring, T, prime_curves, _snapped(ring, T, prime_curves))
+             for T in range(12, 120, 7)]
+    rng = random.Random(41)
+    for seed in range(60):
+        c = _random_odd_circuit(rng, 6000 + seed)
+        pick = _coprime_curve if seed % 2 else (lambda r: make_curve(_mixed_curve(r)))
+        curves = {j: pick(rng) for j in range(c.n)}
+        T = min_slack_period(c, curves)[0] + rng.randint(0, 12)
+        cs = [curves[j] for j in range(c.n)]
+        random_levels = [rng.randrange(cur.nlevels) for cur in cs]
+        cases += [(c, T, curves, _snapped(c, T, curves)),
+                  (c, T, curves, recovery._at_levels(cs, random_levels))]
+    filled = 0
+    for c, T, curves, asn in cases:
+        res = finalize(c, T, curves, asn)
+        assert _reference_finalize(c, T, curves, asn) == (
+            res.assignment.levels, res.retiming, res.diagnostics["probes"])
+        filled += res.diagnostics["fill_steps"] > 1
+    assert filled > 40
 
 
 def test_pipeline_ring3_matches_oracle(ring3):
@@ -341,8 +466,8 @@ def test_pipeline_properties_with_non_integer_slopes():
     for seed in range(80):
         c = _random_odd_circuit(rng, 9000 + seed)
         curves = {j: _coprime_curve(rng) for j in range(c.n)}
-        fractional += any(b.denominator > 1 for cur in curves.values()
-                          for b in breakpoints(cur))
+        fractional += any(drop % step for cur in curves.values()
+                          for drop, step in breakpoints(cur))
         T = None
         if rng.random() < 0.5:
             T = min_slack_period(c, curves)[0] + rng.randint(0, 15)

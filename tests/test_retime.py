@@ -5,7 +5,7 @@ import random
 import pytest
 
 from retislack import (Circuit, Edge, Gate, RetimingError, feasible_retiming,
-                       generate_random, parse_circuit, sta)
+                       generate_random, parse_circuit, retime, sta)
 from retislack.circuit import _forward, arrivals
 from retislack.retime import min_period, retimed_weights
 from conftest import RING3_TEXT
@@ -228,6 +228,140 @@ def test_feas_witness_is_the_least_legal_labeling():
                 assert got == tuple(map(min, zip(*meets)))
                 raised += any(got)
     assert raised > 50  # witnesses that had to move some FF
+
+
+def _with_parallel_edges(c, rng):
+    """c plus a parallel copy, with as many FFs or up to two more, of some of
+    its edges."""
+    extra = tuple(Edge(e.src, e.dst, e.w + rng.choice((0, 1, 2)))
+                  for e in c.edges if rng.random() < 0.3)
+    return Circuit(c.gates, c.edges + extra)
+
+
+def _random_legal_start(c, rng, steps):
+    """A random walk over legal retimings from the zero one: a gate's label
+    rises while each of its fanout edges to another gate keeps an FF, and
+    falls while each of its fanin edges from another gate does."""
+    r = [0] * c.n
+    for _ in range(steps):
+        i = rng.randrange(c.n)
+        up = rng.random() < 0.5
+        weights = retimed_weights(c, r)
+        edges = c.fanout[i] if up else c.fanin[i]
+        if all(weights[k] > 0 or c.edges[k].src == c.edges[k].dst for k in edges):
+            r[i] += 1 if up else -1
+    return tuple(r)
+
+
+def _odd_random_circuit(rng, seed, n):
+    """A random circuit, with zero-delay gates for one seed in three, plus
+    self-loops and parallel edges."""
+    c = generate_random(n, edge_density=rng.uniform(0.8, 2.8),
+                        ff_prob=rng.uniform(0.2, 0.8),
+                        delay_range=(0, 3) if seed % 3 == 0 else (1, 10), seed=seed)
+    return _with_parallel_edges(_with_self_loops(c, rng), rng)
+
+
+def test_feas_from_a_smaller_delays_witness_is_the_cold_witness():
+    # the least witness under smaller effective delays is a lower bound of
+    # the least witness under larger ones, so a search from it ends on the
+    # cold witness, and agrees on None below the minimum period
+    rng = random.Random(23)
+    moved = infeasible = 0
+    for seed in range(150):
+        c = _odd_random_circuit(rng, seed, rng.randint(2, 40))
+        low = [d + rng.choice((0, 0, 1, 3)) for d in c.delays]
+        high = [x + rng.choice((0, 0, 1, 4)) for x in low]
+        tmin, _ = min_period(c, high)
+        for T in sorted({max(low), tmin - 1, tmin, tmin + rng.randint(1, 6)}):
+            start = feasible_retiming(c, T, low)
+            if start is None:
+                continue
+            cold = feasible_retiming(c, T, high)
+            assert feasible_retiming(c, T, high, start) == cold
+            assert (cold is None) == (T < tmin)
+            moved += cold is not None and cold != start
+            infeasible += cold is None
+    assert moved > 50 and infeasible > 20
+
+
+def test_feas_rejects_an_illegal_start(ring3):
+    # edge (a, b) would carry -2 FFs; also below the largest delay
+    for T in (5, 3):
+        with pytest.raises(RetimingError, match="negative"):
+            feasible_retiming(ring3, T, start=(2, 0, 0))
+
+
+def _counting_rounds(monkeypatch):
+    """Patch FEAS's timing pass to count its calls, one per round."""
+    rounds = []
+    real = retime._forward
+
+    def counted(*args):
+        rounds.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(retime, "_forward", counted)
+    return rounds
+
+
+def test_feas_answer_from_any_start_is_the_least_above_it(monkeypatch):
+    # from a legal start the witness is the componentwise least legal vector
+    # at or above it that meets T, found within n rounds; labels above the
+    # start's largest by n or more are never needed
+    rounds = _counting_rounds(monkeypatch)
+    rng = random.Random(29)
+    raised = 0
+    for seed in range(120):
+        c = _with_self_loops(generate_random(
+            rng.randint(2, 4), edge_density=rng.uniform(1.0, 2.5),
+            ff_prob=rng.uniform(0.2, 0.9),
+            delay_range=(0, 3) if seed % 2 else (1, 6), seed=seed), rng)
+        eff = [d + rng.choice((0, 0, 2, 7)) for d in c.delays]
+        start = _random_legal_start(c, rng, 8)
+        top = max(start) + c.n
+        period = {}  # legal label vector at or above start -> its max arrival
+        for labels in itertools.product(*(range(s, top) for s in start)):
+            try:
+                weights = retimed_weights(c, labels)
+            except RetimingError:
+                continue
+            period[labels] = max(_forward(c, eff, weights)[1])
+        for T in range(max(eff), max(arrivals(c, eff)) + 1):
+            meets = [v for v, p in period.items() if p <= T]
+            rounds.clear()
+            got = feasible_retiming(c, T, eff, start)
+            assert len(rounds) <= c.n
+            assert (got is not None) == bool(meets)
+            if meets:
+                assert got == tuple(map(min, zip(*meets)))
+                raised += got != start
+    assert raised > 60
+
+
+def test_feas_round_bound_at_scale_and_tight_on_a_chain(monkeypatch):
+    rounds = _counting_rounds(monkeypatch)
+    rng = random.Random(31)
+    for seed in range(40):
+        c = _odd_random_circuit(rng, seed, rng.randint(20, 120))
+        eff = [d + rng.choice((0, 0, 2, 7)) for d in c.delays]
+        start = _random_legal_start(c, rng, 4 * c.n)
+        tmin, _ = min_period(c, eff)
+        for T in (tmin - 1, tmin, tmin + 3):
+            rounds.clear()
+            got = feasible_retiming(c, T, eff, start)
+            assert len(rounds) <= c.n
+            assert (got is not None) == (T >= tmin)
+            if got is not None:
+                assert all(x >= s for x, s in zip(got, start))
+                assert max(sta(c, T, eff, retimed_weights(c, got)).arrival) <= T
+    # each round relabels the next gate of a chain, so n rounds are needed
+    n = 12
+    chain = parse_circuit("".join(f"gate g{i} 2\n" for i in range(n)) + "".join(
+        f"edge g{i} g{i + 1} {int(i > 0)}\n" for i in range(n - 1)))
+    rounds.clear()
+    assert feasible_retiming(chain, 3) == (0,) + (1,) * (n - 1)
+    assert len(rounds) == n
 
 
 def test_min_period_ring3(ring3):

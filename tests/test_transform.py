@@ -6,19 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import (Circuit, CurveError, Edge, PowerSlackCurve, breakpoints,
-                       expand, generate_random, make_curve, parse_circuit,
-                       split_graph, transform)
+from retislack import (Circuit, CurveError, Edge, PowerSlackCurve, expand,
+                       generate_random, make_curve, parse_circuit, split_graph,
+                       transform)
 from retislack.mcf import solve_mcf
 from retislack.transform import FlowNetwork, TransformError
-from conftest import CURVE3_PAIRS, CURVE4_PAIRS, curves_for, one_edge_graph
+from conftest import (CURVE3_PAIRS, CURVE4_PAIRS, curves_for, fraction_breakpoints,
+                      one_edge_graph)
 from test_mcf import _mixed_curve
 
 
 def _big(g, net):
     """Capacity of the uncapacitated arcs: D times one more than the sum of
     every costed edge's slopes, more than any E2 edge can carry."""
-    total = sum(sum(breakpoints(g.curves[e.dst])) for e in g.circuit.edges)
+    total = sum(sum(fraction_breakpoints(g.curves[e.dst])) for e in g.circuit.edges)
     return (1 + math.ceil(total)) * net.scale
 
 
@@ -74,9 +75,10 @@ def test_split_keeps_each_gates_curve():
     assert g.curves == tuple(curves[j] for j in range(c.n))
     for j in range(c.n):
         s, p = curves[j].slacks, curves[j].powers
-        drop = sum(b * (s[q + 1] - s[q]) for q, b in enumerate(breakpoints(g.curves[j])))
+        drop = sum(b * (s[q + 1] - s[q])
+                   for q, b in enumerate(fraction_breakpoints(g.curves[j])))
         assert drop == p[0] - p[-1]
-    assert breakpoints(g.curves[c.gate_id("d")]) == [4, 3, Fraction(20, 13)]
+    assert fraction_breakpoints(g.curves[c.gate_id("d")]) == [4, 3, Fraction(20, 13)]
 
 
 def test_split_rejects_impossible_period(ring3):
@@ -120,7 +122,7 @@ def _e2_caps_rebuild_breakpoints(g, net):
         cap_at = {q: upper for q, (_, _, _, upper) in zip(levels, arcs)}
         caps = [cap_at.get(q, 0) for q in reversed(range(L))]
         rebuilt = [Fraction(sum(caps[:seg + 1]), D) for seg in range(L - 1)]
-        assert rebuilt == list(reversed(breakpoints(g.curves[e.dst])))
+        assert rebuilt == list(reversed(fraction_breakpoints(g.curves[e.dst])))
 
 
 def test_expand_caps_reconstruct_breakpoints(ring3):
@@ -276,7 +278,7 @@ def _per_gate_network(c, T, lower, slacks, slopes):
 def _assert_expands_like_per_gate_reference(c, T, curves):
     g = split_graph(c, T, curves)
     net = expand(g)
-    slopes = [breakpoints(curves[j]) for j in range(c.n)]
+    slopes = [fraction_breakpoints(curves[j]) for j in range(c.n)]
     lower = [d + curves[j].slacks[0] for j, d in enumerate(c.delays)]
     assert (net.n_nodes, net.scale, list(net.arcs)) == _per_gate_network(
         c, T, lower, [curves[j].slacks for j in range(c.n)], slopes)
@@ -334,7 +336,7 @@ def test_expand_one_edge_graph_matches_per_gate_reference(pairs):
     g = one_edge_graph(cur, shift=3)
     net = expand(g)
     assert (net.n_nodes, net.scale, list(net.arcs)) == _per_gate_network(
-        g.circuit, g.period, g.lower, [cur.slacks], [breakpoints(cur)])
+        g.circuit, g.period, g.lower, [cur.slacks], [fraction_breakpoints(cur)])
 
 
 @pytest.mark.parametrize("kind", [0, 1, 2], ids=["shared", "per_gate", "equal_copies"])
