@@ -14,7 +14,6 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.]+")
 
@@ -120,7 +119,11 @@ def _forward(c: Circuit, eff, weights, cone=None, a=None, src=None):
     pass, only the cone's closure under zero-FF fanout is re-timed, in place,
     and `order` holds just those gates; every other gate's entries are read
     as they stand.  That is exact when each gate outside the closure has kept
-    its zero-FF fanin edges since `a` and `src` were computed.
+    its zero-FF fanin edges and its effective delay since `a` and `src` were
+    computed.  Two callers use it so: the rounds of
+    retime.feasible_retiming re-time the relabeled gates' cone, and
+    recovery.finalize's fill re-times a raised gate's cone to try a level
+    step, then once more to undo a step that misses T.
     """
     n = c.n
     edges, fanout = c.edges, c.fanout
@@ -215,64 +218,6 @@ def sta(c: Circuit, T: int, eff=None, weights=None) -> TimingReport:
     g = _backward(c, T, eff, weights, order)
     s = [g[i] - a[i] for i in range(c.n)]
     return TimingReport(tuple(a), tuple(g), tuple(s))
-
-
-class IncrementalTiming:
-    """Arrival and required lists kept equal to `sta(c, T, eff, weights)`
-    while single effective delays change under fixed FF weights.
-
-    `set_delay(j, d)` recomputes arrivals only in j's zero-FF fanout cone and
-    required times only in its zero-FF fanin cone, each cone in topological
-    position; a gate whose value does not change stops the propagation.
-    """
-
-    def __init__(self, c: Circuit, T: int, eff, weights):
-        self.T = T
-        self.eff = list(eff)
-        order, self.arrival, _ = _forward(c, self.eff, weights)
-        self.required = _backward(c, T, self.eff, weights, order)
-        self._order = order
-        self._pos = [0] * c.n
-        for p, v in enumerate(order):
-            self._pos[v] = p
-        # zero-FF neighbours as gate ids
-        self._zin = [[] for _ in range(c.n)]
-        self._zout = [[] for _ in range(c.n)]
-        for e, w in zip(c.edges, weights):
-            if w == 0:
-                self._zin[e.dst].append(e.src)
-                self._zout[e.src].append(e.dst)
-
-    def set_delay(self, j: int, d: int) -> None:
-        eff, a, g = self.eff, self.arrival, self.required
-        order, pos, zin, zout = self._order, self._pos, self._zin, self._zout
-        eff[j] = d
-        heap = [pos[j]]
-        queued = {j}
-        while heap:
-            v = order[heappop(heap)]
-            x = eff[v] + max((a[u] for u in zin[v]), default=0)
-            if x != a[v]:
-                a[v] = x
-                for u in zout[v]:
-                    if u not in queued:
-                        queued.add(u)
-                        heappush(heap, pos[u])
-        # reverse topological position: max-heap by negated position
-        queued = set(zin[j])
-        heap = [-pos[u] for u in queued]
-        heapify(heap)
-        while heap:
-            v = order[-heappop(heap)]
-            # g[u] <= T and eff[u] >= 0, so T only bounds a gate without
-            # zero-FF fanout
-            x = min((g[u] - eff[u] for u in zout[v]), default=self.T)
-            if x != g[v]:
-                g[v] = x
-                for u in zin[v]:
-                    if u not in queued:
-                        queued.add(u)
-                        heappush(heap, -pos[u])
 
 
 def _int(token: str, what: str) -> int:

@@ -13,6 +13,8 @@ for them.  The arithmetic is integer throughout: each gate's levels along
 the scaling rise at thresholds computed once, a probe above a feasible one
 starts its search from that one's retiming, and the fill orders its steps
 by integer keys, each slope scaled by the lcm of the curves' slack steps.
+The fill times on the one kernel, circuit._forward: one full pass, then a
+pass over each raised gate's zero-FF cone.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 
-from .circuit import Circuit, CircuitError, IncrementalTiming, sta
+from .circuit import Circuit, CircuitError, _backward, _forward, sta
 from .mcf import residual_potentials, solve_mcf, ssp_oracle
 from .power import PowerSlackCurve, breakpoints
 from .retime import RetimingError, feasible_retiming, min_period, retimed_weights
@@ -171,7 +173,12 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
     under that retiming, gates rise one level at a time while their slack
     covers the step, largest power drop per slack unit first (ties: gate
     id), keyed exactly by drop * (L // step) for L the lcm of the slack
-    steps of the call's curves.
+    steps of the call's curves.  Required times come from one backward pass
+    before the fill and only fall as it raises delays, so a step above that
+    stale slack is rejected at once.  Any other step is tried by re-timing
+    the gate's zero-FF cone with _forward, exact since every gate outside
+    the cone keeps its zero-FF fanins and delay, and undone by the same
+    pass if an arrival there passes T.
     """
     cs = [curves[j] for j in range(c.n)]
     thresholds = [_thresholds(cur, s) for cur, s in zip(cs, assignment.slacks)]
@@ -194,30 +201,40 @@ def finalize(c: Circuit, T: int, curves: dict[int, PowerSlackCurve],
         raise InfeasiblePeriodError(
             f"period {T} infeasible even at minimum slack")
     (eff, r), levels = seen[best], list(best)
-    # a step within gate j's slack keeps every arrival within its required
-    # time; raises only lower slacks, so a gate that fails once is dropped
-    timing = IncrementalTiming(c, T, eff, retimed_weights(c, r))
-    bps = {cur: breakpoints(cur) for cur in set(cs)}
+    weights = retimed_weights(c, r)
+    order, a, src = _forward(c, eff, weights)
+    # never re-timed: an upper bound of each required time from here on
+    required = _backward(c, T, eff, weights, order)
+    # each gate's (slack step, heap key) per level, from one table per curve
+    # object, so the heap loop hashes no curve
+    distinct = {id(cur): cur for cur in cs}
+    bps = {i: breakpoints(cur) for i, cur in distinct.items()}
     lcm = math.lcm(*(step for bs in bps.values() for _, step in bs))
-    keys = {cur: [-drop * (lcm // step) for drop, step in bs]
-            for cur, bs in bps.items()}
-    heap = [(keys[cur][q], j) for j, (cur, q) in enumerate(zip(cs, levels))
-            if q + 1 < cur.nlevels]
+    tables = {i: [(step, -drop * (lcm // step)) for drop, step in bs]
+              for i, bs in bps.items()}
+    fill = [tables[id(cur)] for cur in cs]
+    heap = [(bs[q][1], j) for j, (bs, q) in enumerate(zip(fill, levels)) if q < len(bs)]
     heapify(heap)
     start = sum(levels)
+    # slacks only fall as levels rise, so a gate that fails once is dropped
     while heap:
         _, j = heappop(heap)
-        cur, q = cs[j], levels[j]
-        if timing.required[j] - timing.arrival[j] < cur.slacks[q + 1] - cur.slacks[q]:
+        bs, q = fill[j], levels[j]
+        step = bs[q][0]
+        if required[j] - a[j] < step:
+            continue
+        eff[j] += step
+        if max(a[v] for v in _forward(c, eff, weights, (j,), a, src)[0]) > T:
+            eff[j] -= step
+            _forward(c, eff, weights, (j,), a, src)
             continue
         levels[j] = q + 1
-        timing.set_delay(j, c.delays[j] + cur.slacks[q + 1])
-        if q + 2 < cur.nlevels:
-            heappush(heap, (keys[cur][q + 1], j))
+        if q + 1 < len(bs):
+            heappush(heap, (bs[q + 1][1], j))
     # one gate id per level the gate ends below its snapped level
     drained = [j for j, (q0, q) in enumerate(zip(assignment.levels, levels))
                for _ in range(q0 - q)]
-    return BudgetResult(_at_levels(cs, levels), r, T, max(timing.arrival),
+    return BudgetResult(_at_levels(cs, levels), r, T, max(a),
                         {"repair_steps": drained,
                          "snap_power": assignment.total_power,
                          "fill_steps": sum(levels) - start, "probes": len(seen)})

@@ -7,7 +7,6 @@ import pytest
 from retislack import (Circuit, CircuitError, Edge, Gate, feasible_retiming,
                        generate_random, parse_circuit, render_circuit, sta)
 from retislack import circuit
-from retislack.circuit import IncrementalTiming
 from retislack.retime import retimed_weights
 from conftest import RING3_TEXT
 
@@ -194,10 +193,37 @@ def _zero_ff_closure(c, weights, gates):
     return seen
 
 
-def test_forward_over_a_relabeled_cone_matches_a_full_pass():
-    # rounds of relabeling a random legal gate set, each re-timed over the
-    # set's zero-FF fanout cone only, on circuits with zero-delay gates,
-    # self-loops and parallel edges
+def _relabel_a_legal_set(rng, c, eff, weights):
+    """Relabel a random gate set under fixed delays; the set."""
+    moved = {i for i in range(c.n) if rng.random() < 0.3}
+    while True:  # a gate with a zero-FF edge leaving the set keeps its label
+        stuck = {e.src for e, w in zip(c.edges, weights)
+                 if w == 0 and e.src in moved and e.dst not in moved}
+        if not stuck:
+            break
+        moved -= stuck
+    for k, e in enumerate(c.edges):
+        weights[k] += (e.dst in moved) - (e.src in moved)
+    return moved
+
+
+def _raise_or_lower_one_delay(rng, c, eff, weights):
+    """Raise or lower one gate's effective delay, to 0 at times, under
+    fixed weights (finalize's fill trial and undo); the gate."""
+    j = rng.randrange(c.n)
+    if eff[j] == 0 or rng.random() < 0.5:
+        eff[j] += rng.choice((1, 3))
+    else:
+        eff[j] -= rng.randint(1, eff[j])
+    return [j]
+
+
+@pytest.mark.parametrize("move", [_relabel_a_legal_set, _raise_or_lower_one_delay],
+                         ids=["relabel", "delay"])
+def test_forward_over_a_relabeled_cone_matches_a_full_pass(move):
+    # rounds of relabeling a random legal gate set, or of changing one
+    # gate's delay, each re-timed over the moved gates' zero-FF fanout cone
+    # only, on circuits with zero-delay gates, self-loops and parallel edges
     rng = random.Random(31)
     partial = 0
     for seed in range(120):
@@ -213,15 +239,7 @@ def test_forward_over_a_relabeled_cone_matches_a_full_pass():
         weights = [e.w for e in c.edges]
         _, a, src = circuit._forward(c, eff, weights)
         for _ in range(4):
-            moved = {i for i in range(c.n) if rng.random() < 0.3}
-            while True:  # a gate with a zero-FF edge leaving the set keeps its label
-                stuck = {e.src for e, w in zip(c.edges, weights)
-                         if w == 0 and e.src in moved and e.dst not in moved}
-                if not stuck:
-                    break
-                moved -= stuck
-            for k, e in enumerate(c.edges):
-                weights[k] += (e.dst in moved) - (e.src in moved)
+            moved = move(rng, c, eff, weights)
             order, a, src = circuit._forward(c, eff, weights, moved, a, src)
             full, a_full, _ = circuit._forward(c, eff, weights)
             assert a == a_full
@@ -245,40 +263,6 @@ def test_forward_over_a_relabeled_cone_matches_a_full_pass():
                     if src[v] == s:
                         assert longest.get(v) == a[v]
     assert partial > 200
-
-
-def test_incremental_timing_matches_sta_after_each_decrement():
-    # random single-level decrements and raises (finalize's fill raises
-    # levels), under original and retimed weights, with and without
-    # zero-delay gates
-    rng = random.Random(29)
-    grid = (0, 3, 7, 12)
-    steps = raises = 0
-    for seed in range(100):
-        c = generate_random(rng.randint(1, 40), edge_density=rng.uniform(0.5, 2.5),
-                            ff_prob=rng.uniform(0.2, 0.7),
-                            delay_range=(0, 3) if seed % 2 else (1, 10), seed=seed)
-        T = rng.randint(max(c.delays), max(sta(c, 0).arrival) + 10)
-        r = feasible_retiming(c, T)
-        weights = retimed_weights(c, r) if r else [e.w for e in c.edges]
-        levels = [rng.randrange(len(grid)) for _ in range(c.n)]
-        eff = [d + grid[q] for d, q in zip(c.delays, levels)]
-        timing = IncrementalTiming(c, T, eff, weights)
-        for step in range(3 * c.n + 1):
-            rep = sta(c, T, eff, weights)
-            assert timing.arrival == list(rep.arrival)
-            assert timing.required == list(rep.required)
-            if step == 3 * c.n:
-                break
-            j = rng.randrange(c.n)
-            up = levels[j] == 0 or (levels[j] + 1 < len(grid)
-                                    and rng.random() < 0.5)
-            levels[j] += 1 if up else -1
-            raises += up
-            eff[j] = c.delays[j] + grid[levels[j]]
-            timing.set_delay(j, eff[j])
-            steps += 1
-    assert steps > 1000 and 300 < raises < steps - 300
 
 
 def test_negative_effective_delay_rejected(ring3):

@@ -8,10 +8,9 @@ from heapq import heapify, heappop, heappush
 
 import pytest
 
-from retislack import (Circuit, Edge, breakpoints, brute_force,
+from retislack import (Circuit, Edge, breakpoints, brute_force, circuit,
                        feasible_retiming, generate_random, make_curve,
                        parse_circuit, recovery, run_pipeline, sta)
-from retislack.circuit import IncrementalTiming
 from retislack.mcf import residual_potentials, solve_mcf
 from retislack.recovery import (K, BudgetResult, InfeasiblePeriodError,
                                 RecoveryError, SlackAssignment, _snap,
@@ -234,8 +233,8 @@ def test_fill_orders_near_equal_slopes_on_coprime_steps_exactly():
 
 def _reference_finalize(c, T, curves, asn):
     """finalize with each probe's levels snapped from the scaled slack, cold
-    searches and a fill heap keyed by Fraction slopes: (levels, retiming,
-    probes)."""
+    searches, a fill heap keyed by Fraction slopes and a fresh sta for each
+    step: (levels, retiming, achieved period, probes)."""
     cs = [curves[j] for j in range(c.n)]
     seen, lo, hi, k, best = {}, -1, K + 1, K, None
     while hi - lo > 1:
@@ -250,19 +249,20 @@ def _reference_finalize(c, T, curves, asn):
             lo, best = k, levels
         k = (lo + hi) // 2
     (eff, r), levels = seen[best], list(best)
-    timing = IncrementalTiming(c, T, eff, retimed_weights(c, r))
+    weights = retimed_weights(c, r)
     slopes = [fraction_breakpoints(cur) for cur in cs]
     heap = [(-slopes[j][q], j) for j, q in enumerate(levels) if q + 1 < cs[j].nlevels]
     heapify(heap)
     while heap:
         _, j = heappop(heap)
         cur, q = cs[j], levels[j]
-        if timing.required[j] - timing.arrival[j] >= cur.slacks[q + 1] - cur.slacks[q]:
+        step = cur.slacks[q + 1] - cur.slacks[q]
+        if sta(c, T, eff, weights).slack[j] >= step:
             levels[j] = q + 1
-            timing.set_delay(j, c.delays[j] + cur.slacks[q + 1])
+            eff[j] += step
             if q + 2 < cur.nlevels:
                 heappush(heap, (-slopes[j][q + 1], j))
-    return tuple(levels), r, len(seen)
+    return tuple(levels), r, max(sta(c, T, eff, weights).arrival), len(seen)
 
 
 def _snapped(c, T, curves):
@@ -273,10 +273,11 @@ def _snapped(c, T, curves):
                        curves, c.delays)
 
 
-def test_finalize_matches_a_fraction_keyed_reference():
+def test_finalize_matches_a_fraction_keyed_reference(monkeypatch):
     # the prime-slope ring (lcm of the slack steps: the product of 20
     # primes) over a range of periods, then random circuits with coprime and
-    # check_mixed curves, from the snapped flow budget and from random levels
+    # check_mixed curves, from the snapped flow budget and from random levels;
+    # some fill steps pass the stale-slack precheck and are undone
     primes = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
               71, 73, 79, 83)
     ring = parse_circuit("".join(f"gate g{i} 3\n" for i in range(20)) +
@@ -295,13 +296,25 @@ def test_finalize_matches_a_fraction_keyed_reference():
         random_levels = [rng.randrange(cur.nlevels) for cur in cs]
         cases += [(c, T, curves, _snapped(c, T, curves)),
                   (c, T, curves, recovery._at_levels(cs, random_levels))]
-    filled = 0
+    cone_peaks = []  # latest arrival in each cone the fill re-times
+
+    def forward(c, eff, weights, cone=None, a=None, src=None):
+        out = circuit._forward(c, eff, weights, cone, a, src)
+        if cone is not None:
+            cone_peaks.append(max(out[1][v] for v in out[0]))
+        return out
+
+    monkeypatch.setattr(recovery, "_forward", forward)
+    filled = undone = 0
     for c, T, curves, asn in cases:
+        cone_peaks.clear()
         res = finalize(c, T, curves, asn)
         assert _reference_finalize(c, T, curves, asn) == (
-            res.assignment.levels, res.retiming, res.diagnostics["probes"])
+            res.assignment.levels, res.retiming, res.achieved_period,
+            res.diagnostics["probes"])
         filled += res.diagnostics["fill_steps"] > 1
-    assert filled > 40
+        undone += sum(peak > T for peak in cone_peaks)
+    assert filled > 40 and undone > 0
 
 
 def test_pipeline_ring3_matches_oracle(ring3):
