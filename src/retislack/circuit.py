@@ -4,15 +4,17 @@ A circuit is a directed graph of combinational gates.  Each gate carries an
 integer delay; each edge carries an integer flip-flop (FF) count.  Timing is
 propagated only along edges with zero FFs, so the zero-FF subgraph must be
 acyclic.  All times are integers, which keeps every computation in the rest
-of the pipeline exact.  `Gate` and `Edge` enforce their own fields' rules
-(a bool is not an int; names in the text format's alphabet), `Circuit` the
-rules across records, so parse(render(c)) == c and the reader checks syntax.
+of the pipeline exact.  `Gate` and `Edge` are immutable slotted records
+whose own `__init__` enforces their fields' rules (a bool is not an int;
+names in the text format's alphabet) once, before it stores them;
+`Circuit` checks the rules across records, so parse(render(c)) == c and
+the reader checks only syntax, in one pass over the lines.
 """
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.]+")
@@ -22,28 +24,47 @@ class CircuitError(ValueError):
     """Malformed circuit text or a violated structural invariant."""
 
 
-@dataclass(frozen=True)
+def _slot_setters(cls):
+    """Each field's slot descriptor setter, in field order.  A frozen record's
+    own __init__ stores its checked fields through these, past the
+    __setattr__ that freezes it."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
     id: int
     name: str
     delay: int
 
-    def __post_init__(self):
-        if not (isinstance(self.name, str) and _NAME_RE.fullmatch(self.name)):
-            raise CircuitError(f"bad gate name {self.name!r}")
-        if type(self.delay) is not int or self.delay < 0:
-            raise CircuitError(f"gate {self.name}: bad delay {self.delay!r}")
+    def __init__(self, id: int, name: str, delay: int):
+        if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+            raise CircuitError(f"bad gate name {name!r}")
+        if type(delay) is not int or delay < 0:
+            raise CircuitError(f"gate {name}: bad delay {delay!r}")
+        _set_id(self, id)
+        _set_name(self, name)
+        _set_delay(self, delay)
 
 
-@dataclass(frozen=True)
+_set_id, _set_name, _set_delay = _slot_setters(Gate)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
     src: int
     dst: int
     w: int  # FF count
 
-    def __post_init__(self):
-        if type(self.w) is not int or self.w < 0:
-            raise CircuitError(f"edge ({self.src!r}, {self.dst!r}): bad FF count {self.w!r}")
+    def __init__(self, src: int, dst: int, w: int):
+        if type(w) is not int or w < 0:
+            raise CircuitError(f"edge ({src!r}, {dst!r}): bad FF count {w!r}")
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_w(self, w)
+
+
+_set_src, _set_dst, _set_w = _slot_setters(Edge)
 
 
 @dataclass(frozen=True)
@@ -238,28 +259,30 @@ def parse_circuit(text: str) -> Circuit:
     edges: list[Edge] = []
     names: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
+        parts = raw.partition("#")[0].split()
         if not parts:
             continue
         try:
-            if parts[0] == "gate":
-                if len(parts) != 3:
-                    raise CircuitError("expected 'gate <name> <delay>'")
-                name = parts[1]
-                if name in names:
-                    raise CircuitError(f"duplicate gate name {name}")
-                gates.append(Gate(len(gates), name, _int(parts[2], "delay")))
-                names[name] = len(gates) - 1
-            elif parts[0] == "edge":
-                if len(parts) != 4:
+            match parts:  # edge lines are the most common
+                case ["edge", src, dst, w]:
+                    i = names.get(src)
+                    if i is None:
+                        raise CircuitError(f"unknown gate {src!r}")
+                    j = names.get(dst)
+                    if j is None:
+                        raise CircuitError(f"unknown gate {dst!r}")
+                    edges.append(Edge(i, j, _int(w, "FF count")))
+                case ["gate", name, delay]:
+                    if name in names:
+                        raise CircuitError(f"duplicate gate name {name}")
+                    names[name] = len(gates)
+                    gates.append(Gate(len(gates), name, _int(delay, "delay")))
+                case ["edge", *_]:
                     raise CircuitError("expected 'edge <src> <dst> <ff_count>'")
-                for name in parts[1:3]:
-                    if name not in names:
-                        raise CircuitError(f"unknown gate {name!r}")
-                w = _int(parts[3], "FF count")
-                edges.append(Edge(names[parts[1]], names[parts[2]], w))
-            else:
-                raise CircuitError(f"unknown record {parts[0]!r}")
+                case ["gate", *_]:
+                    raise CircuitError("expected 'gate <name> <delay>'")
+                case [kind, *_]:
+                    raise CircuitError(f"unknown record {kind!r}")
         except CircuitError as e:
             raise CircuitError(f"line {ln}: {e}") from None
     return Circuit(tuple(gates), tuple(edges))

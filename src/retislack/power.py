@@ -3,32 +3,33 @@
 A curve is two equal-length tuples of integers: strictly increasing slack
 levels, none negative, and the power at each.  Power is nonincreasing and
 convex in slack: the segment slope magnitudes (the breakpoints) are
-nonincreasing from left to right.  The constructor enforces all of this,
-so every curve is valid.  `breakpoints` gives each slope as the integer
-pair (power drop, slack step), so callers compare and scale slopes exactly
-without rationals.  Every gate that uses the same curve-file entry gets
-the same object.  Curves compare and hash by value, and `transform`
-expands each distinct curve once.
+nonincreasing from left to right.  `PowerSlackCurve` is an immutable
+slotted record whose own `__init__` enforces all of this once, before it
+stores the levels, so every curve is valid.  `breakpoints` gives each
+slope as the integer pair (power drop, slack step), so callers compare
+and scale slopes exactly without rationals.  Every gate that uses the
+same curve-file entry gets the same object.  Curves compare and hash by
+value, and `transform` expands each curve object once.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 
-from .circuit import Circuit
+from .circuit import Circuit, _slot_setters
 
 
 class CurveError(ValueError):
     """Invalid power-slack curve."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PowerSlackCurve:
     slacks: tuple[int, ...]  # strictly increasing, from at least 0
     powers: tuple[int, ...]  # power at each slack level
 
-    def __post_init__(self):
-        s, p = self.slacks, self.powers
+    def __init__(self, slacks: tuple[int, ...], powers: tuple[int, ...]):
+        s, p = slacks, powers
         if len(s) != len(p):
             raise CurveError(f"{len(s)} slack levels but {len(p)} powers")
         if not s:
@@ -48,10 +49,15 @@ class PowerSlackCurve:
                           > (p[q - 2] - p[q - 1]) * (s[q] - s[q - 1])):
                 raise CurveError(
                     f"non-convex curve: slope magnitude rises at slack {s[q - 1]}")
+        _set_slacks(self, slacks)
+        _set_powers(self, powers)
 
     @property
     def nlevels(self) -> int:
         return len(self.slacks)
+
+
+_set_slacks, _set_powers = _slot_setters(PowerSlackCurve)
 
 
 def make_curve(pairs) -> PowerSlackCurve:

@@ -22,9 +22,9 @@ carry no flow and keep room, and every gate is reached from it in the
 residual network.
 
 Every fanin edge of gate j carries the same cost up to its shift, and so
-does every fanin edge of a gate with an equal curve.  `expand` groups the
-sink gates by curve and builds one template per distinct curve: one
-parallel arc per usable curve level, at the level's slack offset, its
+does every fanin edge of a gate with the same curve object.  `expand`
+groups the sink gates by curve object and builds one template per group:
+one parallel arc per usable curve level, at the level's slack offset, its
 capacity the drop between consecutive breakpoints, times D; a level whose
 drop is zero gives no arc.  D is the lcm of the reduced denominators of
 the slopes, read off the integer pairs (power drop, slack step) of
@@ -113,11 +113,13 @@ def expand(g: DualGraph) -> FlowNetwork:
     """Expand the dual graph into an integer min-cost circulation network."""
     c, T, lower = g.circuit, g.period, g.lower
     fanins = Counter(e.dst for e in c.edges)
-    # sink gates with an equal curve share one template
-    groups: dict[PowerSlackCurve, list[int]] = {}
+    # sink gates with the same curve object share one template; equal
+    # curves give equal templates, so grouping by id(curve) hashes no curve
+    groups: dict[int, list[int]] = {}
     for j in fanins:
-        groups.setdefault(g.curves[j], []).append(j)
-    slopes = [breakpoints(cur) for cur in groups]
+        groups.setdefault(id(g.curves[j]), []).append(j)
+    curves = [g.curves[js[0]] for js in groups.values()]
+    slopes = [breakpoints(cur) for cur in curves]
     scale = math.lcm(1, *(den // math.gcd(num, den) for bs in slopes for num, den in bs))
     scaled = [[num * scale // den for num, den in bs] for bs in slopes]
     total = sum(sum(fanins[j] for j in js) * sum(xs)
@@ -125,7 +127,7 @@ def expand(g: DualGraph) -> FlowNetwork:
     # (1 + ceil(total / D)) * D: more than any E2 edge can carry
     big = (1 - -total // scale) * scale
     templates = {}
-    for (cur, js), xs in zip(groups.items(), scaled):
+    for cur, js, xs in zip(curves, groups.values(), scaled):
         t = _template(cur.slacks, xs, big)
         templates.update((j, t) for j in js)
 

@@ -1,11 +1,13 @@
 """Circuit parsing, validation, and static timing analysis."""
+import dataclasses
 import random
 import time
 
 import pytest
 
-from retislack import (Circuit, CircuitError, Edge, Gate, feasible_retiming,
-                       generate_random, parse_circuit, render_circuit, sta)
+from retislack import (Circuit, CircuitError, CurveError, Edge, Gate, PowerSlackCurve,
+                       feasible_retiming, generate_random, parse_circuit,
+                       render_circuit, sta)
 from retislack import circuit
 from retislack.retime import retimed_weights
 from conftest import RING3_TEXT
@@ -60,6 +62,23 @@ def test_constructor_rejects_what_the_text_format_cannot_hold(gate, edge, msg):
         Circuit((Gate(*gate),), (Edge(*edge),) if edge else ())
 
 
+@pytest.mark.parametrize("build, field, bad, error, msg", [
+    (lambda: Gate(0, "a", 2), "delay", -1, CircuitError, "gate a: bad delay -1"),
+    (lambda: Edge(0, 1, 1), "w", True, CircuitError, "edge (0, 1): bad FF count True"),
+    (lambda: PowerSlackCurve((0, 10), (100, 60)), "powers", (100, 160), CurveError,
+     "increasing power at slack 10"),
+], ids=["Gate", "Edge", "PowerSlackCurve"])
+def test_records_are_frozen_values_checked_on_replace(build, field, bad, error, msg):
+    rec = build()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rec, field, getattr(rec, field))
+    twin = build()
+    assert twin is not rec and twin == rec and hash(twin) == hash(rec)
+    with pytest.raises(error) as err:
+        dataclasses.replace(rec, **{field: bad})
+    assert str(err.value) == msg
+
+
 def test_parse_errors():
     with pytest.raises(CircuitError, match="no gates"):
         parse_circuit("# nothing\n")
@@ -75,6 +94,26 @@ def test_parse_errors():
         parse_circuit("gate a 1\ngate b 1\nedge a b -1\n")
     with pytest.raises(CircuitError, match="line 1.*unknown record"):
         parse_circuit("vertex a 1\n")
+    two = "gate a 1\ngate b 1\n"
+    for text, message in (
+        ("gate a\n", "line 1: expected 'gate <name> <delay>'"),
+        ("gate a 1 2\n", "line 1: expected 'gate <name> <delay>'"),
+        (two + "edge a b\n", "line 3: expected 'edge <src> <dst> <ff_count>'"),
+        (two + "edge a b 0 1\n", "line 3: expected 'edge <src> <dst> <ff_count>'"),
+        # source before destination before the FF count, a duplicate name
+        # before the delay token, the delay token before Gate's own checks
+        ("gate a 1\nedge zz yy x\n", "line 2: unknown gate 'zz'"),
+        ("gate a 1\nedge a zz x\n", "line 2: unknown gate 'zz'"),
+        ("gate a 1\nedge a a x\n", "line 2: bad FF count 'x'"),
+        ("gate a 1\ngate a x\n", "line 2: duplicate gate name a"),
+        ("gate x! x\n", "line 1: bad delay 'x'"),
+        ("gate x! -3\n", "line 1: bad gate name 'x!'"),
+    ):
+        with pytest.raises(CircuitError) as err:
+            parse_circuit(text)
+        assert str(err.value) == message
+    # a comment mid-line ends the record, so its words are not fields
+    assert parse_circuit(two + "edge a b 0 # note 1\n").edges == (Edge(0, 1, 0),)
 
 
 @pytest.mark.parametrize("text, line, build", [

@@ -1,4 +1,5 @@
 """Dual-graph construction and expansion into a circulation network."""
+import json
 import math
 import random
 from collections import Counter
@@ -7,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from retislack import (Circuit, CurveError, Edge, PowerSlackCurve, expand,
-                       generate_random, make_curve, parse_circuit, split_graph,
-                       transform)
+                       generate_random, load_curves, make_curve, parse_circuit,
+                       split_graph, transform)
 from retislack.mcf import solve_mcf
 from retislack.transform import FlowNetwork, TransformError
 from conftest import (CURVE3_PAIRS, CURVE4_PAIRS, curves_for, fraction_breakpoints,
@@ -341,9 +342,9 @@ def test_expand_one_edge_graph_matches_per_gate_reference(pairs):
 
 @pytest.mark.parametrize("kind", [0, 1, 2], ids=["shared", "per_gate", "equal_copies"])
 def test_expand_builds_one_template_per_distinct_curve(monkeypatch, kind):
-    # sink gates are grouped by curve value alone, whatever their number of
-    # zero-FF fanins, so equal-valued curve copies share a template as one
-    # shared curve object does
+    # sink gates are grouped by curve object alone, whatever their number of
+    # zero-FF fanins; an equal-valued copy gets a template of its own, and
+    # the network is the one that a single shared object gives
     build = transform._template
     calls = []
     monkeypatch.setattr(transform, "_template",
@@ -356,9 +357,26 @@ def test_expand_builds_one_template_per_distinct_curve(monkeypatch, kind):
         curves = _random_curves(kind, c, rng)
         T = max(d + curves[j].slacks[0] for j, d in enumerate(c.delays))
         calls.clear()
-        expand(split_graph(c, T, curves))
+        net = expand(split_graph(c, T, curves))
         sinks = {e.dst for e in c.edges}
-        assert len(calls) == len({curves[j] for j in sinks})
-        copies += len({id(curves[j]) for j in sinks}) - len(calls)
+        assert len(calls) == len({id(curves[j]) for j in sinks})
+        copies += len({id(curves[j]) for j in sinks}) - len({curves[j] for j in sinks})
+        first = {}  # one object per curve value
+        shared = {j: first.setdefault(cur, cur) for j, cur in curves.items()}
+        assert expand(split_graph(c, T, shared)) == net
     if kind != 1:  # per-gate mixed curves may coincide by value too
         assert (copies > 0) == (kind == 2)
+
+
+def test_expand_equal_curve_entries_give_the_shared_curves_network():
+    # two curve-file entries with the same pairs load as two equal objects;
+    # each gets its own template, and the network is the one-object network
+    c = generate_random(40, edge_density=2.0, ff_prob=0.4, seed=8)
+    j, k = sorted({e.dst for e in c.edges})[:2]
+    doc = {"default": CURVE3_PAIRS, c.gates[j].name: CURVE4_PAIRS,
+           c.gates[k].name: CURVE4_PAIRS}
+    copies = load_curves(json.dumps(doc), c)
+    assert copies[j] == copies[k] and copies[j] is not copies[k]
+    shared = {**copies, k: copies[j]}
+    T = max(d + copies[i].slacks[0] for i, d in enumerate(c.delays))
+    assert expand(split_graph(c, T, copies)) == expand(split_graph(c, T, shared))
