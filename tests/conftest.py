@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import breakpoints, make_curve, parse_circuit
+from retislack import make_curve, parse_circuit
+from retislack.power import breakpoints
 from retislack.transform import DualGraph
 
 # three-gate ring: one combinational edge, two FF edges

@@ -9,8 +9,9 @@ import time
 from fractions import Fraction
 
 from retislack import (brute_force, generate_random, make_curve, parse_circuit,
-                       render_circuit, run_pipeline, solve_mcf, ssp_oracle)
+                       render_circuit, run_pipeline)
 from retislack.cli import main
+from retislack.mcf import solve_mcf, ssp_oracle
 from retislack.recovery import min_slack_period
 from retislack.retime import min_period
 from retislack.transform import expand

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from retislack import (generate_random, load_curves, render_circuit,
-                       solve_mcf, ssp_oracle)
+from retislack import generate_random, load_curves, render_circuit
 from retislack.mcf import (FlowSolution, SolverError, _live_arcs,
-                           _raise_potentials, _Residual, residual_potentials)
+                           _raise_potentials, _Residual, residual_potentials,
+                           solve_mcf, ssp_oracle)
 from retislack.transform import FlowNetwork, expand, split_graph
 from retislack.recovery import min_slack_period
 from conftest import curves_for

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import (CurveError, PowerSlackCurve, breakpoints, load_curves,
-                       make_curve, parse_circuit)
+from retislack import (CurveError, PowerSlackCurve, load_curves, make_curve,
+                       parse_circuit)
+from retislack.power import breakpoints
 from conftest import CURVE4_PAIRS, fraction_breakpoints
 
 

@@ -1,10 +1,14 @@
-"""The README's library example runs as printed, on the standard library alone."""
+"""The README's library example runs as printed, on the standard library alone,
+and its list of the package's exports is the package's public names."""
 import ast
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import retislack
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,3 +30,15 @@ def test_readme_library_example_needs_only_the_standard_library():
     printed, foreign = run.stdout.splitlines()
     assert printed == expected
     assert ast.literal_eval(foreign) == []
+
+
+def test_package_exports_exactly_the_readmes_front_door():
+    # a name joins or leaves the front door only with the README's list
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"exports the pipeline's front door.*\n\n((?:[- ] .*\n)+)",
+                      readme).group(1)
+    listed = re.findall(r"`(\w+)`", block)
+    public = {name for name, value in vars(retislack).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == public

@@ -8,10 +8,11 @@ from heapq import heapify, heappop, heappush
 
 import pytest
 
-from retislack import (Circuit, Edge, breakpoints, brute_force, circuit,
-                       feasible_retiming, generate_random, make_curve,
-                       parse_circuit, recovery, run_pipeline, sta)
+from retislack import (Circuit, Edge, brute_force, circuit, feasible_retiming,
+                       generate_random, make_curve, parse_circuit, recovery,
+                       run_pipeline, sta)
 from retislack.mcf import residual_potentials, solve_mcf
+from retislack.power import breakpoints
 from retislack.recovery import (K, BudgetResult, InfeasiblePeriodError,
                                 RecoveryError, SlackAssignment, _snap,
                                 _thresholds, finalize, min_slack_period,
@@ -445,7 +446,16 @@ def test_pipeline_properties_on_odd_inputs():
         assert res.diagnostics["checked"]
         assert max(res.diagnostics["sbar"]) <= res.period
         # the reference node (node n, the tail of every E1 edge) sits at 0
-        assert res.diagnostics["mu"][c.n] == 0
+        mu = res.diagnostics["mu"]
+        assert mu[c.n] == 0
+        # the flow's potentials carry a legal retiming: with A_i = mu_i -
+        # mu_v0, every E2 edge has A_j - A_i >= d_j + s_j - T w_ij >= -T w_ij,
+        # so r_i = ceil(A_i / T) - 1 keeps every edge's FF count >= 0, and
+        # FEAS at level 0 from it finds a retiming, since T >= Tmin
+        r = [-(-(mu[i] - mu[c.n]) // res.period) - 1 for i in range(c.n)]
+        assert all(e.w + r[e.dst] - r[e.src] >= 0 for e in c.edges)
+        level0 = [d + curves[j].slacks[0] for j, d in enumerate(c.delays)]
+        assert feasible_retiming(c, res.period, level0, start=r) is not None
         if c.n <= 10 and all(cur.nlevels <= 4 for cur in curves.values()):
             opt = brute_force(c, res.period, curves).power
             assert res.total_power >= opt

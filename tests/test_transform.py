@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from retislack import (Circuit, CurveError, Edge, PowerSlackCurve, expand,
+from retislack import (Circuit, CurveError, Edge, PowerSlackCurve,
                        generate_random, load_curves, make_curve, parse_circuit,
-                       split_graph, transform)
+                       transform)
 from retislack.mcf import solve_mcf
-from retislack.transform import FlowNetwork, TransformError
+from retislack.transform import FlowNetwork, TransformError, expand, split_graph
 from conftest import (CURVE3_PAIRS, CURVE4_PAIRS, curves_for, fraction_breakpoints,
                       one_edge_graph)
 from test_mcf import _mixed_curve
