@@ -1,5 +1,6 @@
 """The README's library example runs as printed, on the standard library alone,
-and its list of the package's exports is the package's public names."""
+its list of the package's exports is the package's front door, and
+`import retislack` loads only the input layer it describes."""
 import ast
 import os
 import re
@@ -8,9 +9,22 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import retislack
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script: str) -> list[str]:
+    """Lines that `script` prints in a fresh interpreter importing src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
 
 
 def test_readme_library_example_needs_only_the_standard_library():
@@ -21,13 +35,7 @@ def test_readme_library_example_needs_only_the_standard_library():
     script = ("import sys\nbefore = set(sys.modules)\n" + example +
               "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
               "print(sorted(new - set(sys.stdlib_module_names) - {'retislack'}))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    printed, foreign = run.stdout.splitlines()
+    printed, foreign = _run(script)
     assert printed == expected
     assert ast.literal_eval(foreign) == []
 
@@ -38,7 +46,45 @@ def test_package_exports_exactly_the_readmes_front_door():
     block = re.search(r"exports the pipeline's front door.*\n\n((?:[- ] .*\n)+)",
                       readme).group(1)
     listed = re.findall(r"`(\w+)`", block)
-    public = {name for name, value in vars(retislack).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(listed) == len(set(listed))
-    assert set(listed) == public
+    assert listed == retislack.__all__
+    for name in listed:
+        assert name in dir(retislack)
+        assert not isinstance(getattr(retislack, name), types.ModuleType), name
+    ns = {}
+    exec("from retislack import *", ns)
+    assert set(ns) - {"__builtins__"} == set(listed)
+    with pytest.raises(AttributeError, match="'retislack' has no attribute 'nope'"):
+        retislack.nope
+    assert not hasattr(retislack, "nope")
+
+
+def test_import_loads_only_the_input_layer_and_stages_on_first_use():
+    # a fresh interpreter, so no earlier import in this process can mask it
+    script = """
+import sys
+loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "retislack")
+import retislack
+print(loaded())
+retislack.run_pipeline
+print(loaded())
+retislack.brute_force
+print(loaded())
+"""
+    start, pipeline, oracle = map(ast.literal_eval, _run(script))
+    assert start == ["retislack", "retislack.circuit", "retislack.power"]
+    stages = ["retislack.mcf", "retislack.recovery", "retislack.retime",
+              "retislack.transform"]
+    assert pipeline == sorted(start + stages)
+    assert oracle == sorted(pipeline + ["retislack.exact"])
+
+
+def test_stage_modules_resolve_as_attributes_without_an_import():
+    # perfbench reaches rs.recovery, rs.mcf and rs.transform straight after
+    # a fresh `import retislack`
+    script = """
+import retislack
+print(retislack.recovery.verify_result.__module__,
+      retislack.mcf.solve_mcf.__module__, retislack.transform.expand.__module__)
+"""
+    assert _run(script) == ["retislack.recovery retislack.mcf retislack.transform"]
