@@ -6,7 +6,8 @@ and errors.  The stages of `run_pipeline` are imported from their modules.
 `import retislack` runs only the input layer, `circuit` and `power`.  Every
 other front-door name, and the stage modules `retime`, `transform`, `mcf`,
 `recovery` and `exact` as attributes, load on first use (PEP 562), so a
-process that only reads, renders or generates circuits never imports them.
+process that only reads, renders or generates circuits, and the console
+script's `sta` command, never imports them.
 """
 
 from importlib import import_module as _import_module
@@ -45,5 +46,6 @@ def __getattr__(name):
 
 
 def __dir__():
-    """The module's names, plus the front-door names not loaded yet."""
-    return sorted({*globals(), *__all__})
+    """The module's names, plus the front-door names and stage modules not
+    loaded yet."""
+    return sorted({*globals(), *__all__, *_FRONT_DOOR.values()})

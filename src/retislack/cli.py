@@ -4,6 +4,11 @@ Subcommands: sta, retime, budget, bench.  Exit codes: 0 success, 1 input
 error (a usage error too), 2 infeasible, 3 internal verification failure.
 A reader that closes standard output early (`| head`) ends the command
 quietly with 0: the rest of the output was not wanted.
+
+The flow stages are reached through the package's front door, so each loads
+only when a command uses it: `sta` imports none and `retime` only `retime`.
+`main` looks up the stage errors it maps to exit codes only when a command
+fails.
 """
 from __future__ import annotations
 
@@ -15,12 +20,10 @@ import os
 import sys
 from fractions import Fraction
 
+import retislack
+
 from .circuit import Circuit, CircuitError, generate_random, parse_circuit, sta
-from .exact import brute_force
-from .mcf import SolverError
 from .power import load_curves
-from .recovery import InfeasiblePeriodError, RecoveryError, run_pipeline
-from .retime import feasible_retiming, min_period
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -86,10 +89,10 @@ def cmd_sta(args) -> int:
 def cmd_retime(args) -> int:
     c = _load(args.circuit, parse_circuit)
     if args.period is None:
-        tmin, r = min_period(c)
+        tmin, r = retislack.min_period(c)
         print(f"Tmin {tmin}")
     else:
-        r = feasible_retiming(c, args.period)
+        r = retislack.feasible_retiming(c, args.period)
         if r is None:
             print("infeasible")
             return EXIT_INFEASIBLE
@@ -100,7 +103,7 @@ def cmd_retime(args) -> int:
 def cmd_budget(args) -> int:
     c = _load(args.circuit, parse_circuit)
     curves = _load(args.curves, load_curves, c)
-    result = run_pipeline(c, curves, T=args.period, check=args.check)
+    result = retislack.run_pipeline(c, curves, T=args.period, check=args.check)
     print(f"period      {result.period}")
     print(f"achieved    {result.achieved_period}")
     print(f"total_power {result.total_power}")
@@ -162,14 +165,14 @@ def cmd_bench(args) -> int:
     for name, c in cases:
         curves = (_load(args.levels, load_curves, c) if args.levels
                   else load_curves(default_curve, c))
-        result = run_pipeline(c, curves, check=args.check)
+        result = retislack.run_pipeline(c, curves, check=args.check)
         ms = sum(result.diagnostics["stages"].values()) * 1000.0
         tmin = result.diagnostics["tmin"]
         row = {"name": name, "gates": c.n, "edges": len(c.edges), "Tmin": tmin,
                "power_flow": result.total_power, "slack_flow": result.total_slack,
                "runtime_ms": f"{ms:.1f}"}
         if c.n <= 10 and max(cur.nlevels for cur in curves.values()) <= 4:
-            opt = brute_force(c, tmin, curves)
+            opt = retislack.brute_force(c, tmin, curves)
             if opt is not None:
                 row["power_oracle"] = opt.power
                 row["slack_oracle"] = opt.total_slack
@@ -255,12 +258,12 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except ValueError as e:  # CircuitError, CurveError and TransformError too
-        if isinstance(e, InfeasiblePeriodError):
+        if isinstance(e, retislack.InfeasiblePeriodError):
             print(f"infeasible: {e}", file=sys.stderr)
             return EXIT_INFEASIBLE
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (RecoveryError, SolverError) as e:
+    except (retislack.RecoveryError, retislack.SolverError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import retislack
 from retislack import cli, load_curves, parse_circuit, recovery, run_pipeline
 from retislack.cli import main
 from conftest import RING3_TEXT
@@ -138,12 +139,13 @@ def test_budget_ring3(tmp_path, capsys):
 
 
 def _fix_stages(monkeypatch):
-    """Make the CLI's run_pipeline report stage times summing to 1.75 s."""
+    """Make the run_pipeline the CLI reaches through the package's front door
+    report stage times summing to 1.75 s."""
     def run(*args, **kwargs):
         result = run_pipeline(*args, **kwargs)
         result.diagnostics["stages"] = {"a": 0.25, "b": 1.5}
         return result
-    monkeypatch.setattr(cli, "run_pipeline", run)
+    monkeypatch.setattr(retislack, "run_pipeline", run)
 
 
 def test_budget_runtime_is_the_sum_of_the_stages(tmp_path, capsys, monkeypatch):

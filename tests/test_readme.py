@@ -51,40 +51,49 @@ def test_package_exports_exactly_the_readmes_front_door():
     for name in listed:
         assert name in dir(retislack)
         assert not isinstance(getattr(retislack, name), types.ModuleType), name
+    public = {n for n in dir(retislack) if not n.startswith("_")
+              and not isinstance(getattr(retislack, n), types.ModuleType)}
+    assert public == set(listed)
     ns = {}
     exec("from retislack import *", ns)
     assert set(ns) - {"__builtins__"} == set(listed)
     with pytest.raises(AttributeError, match="'retislack' has no attribute 'nope'"):
         retislack.nope
     assert not hasattr(retislack, "nope")
+    # perfbench reads rs.recovery, rs.mcf and rs.transform straight after a
+    # fresh `import retislack`: the hook resolves each stage module
+    for stage in ("retime", "transform", "mcf", "recovery", "exact"):
+        assert stage in dir(retislack)
+        assert retislack.__getattr__(stage) is sys.modules[f"retislack.{stage}"]
 
 
 def test_import_loads_only_the_input_layer_and_stages_on_first_use():
-    # a fresh interpreter, so no earlier import in this process can mask it
+    # a fresh interpreter, so no earlier import in this process can mask it;
+    # the console script's sta and retime commands load no more than they run
     script = """
-import sys
+import contextlib, io, sys
 loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "retislack")
 import retislack
 print(loaded())
+from retislack import cli
+for argv in (["sta", "fixtures/ring3.ckt", "--period", "6"],
+             ["retime", "fixtures/ring3.ckt"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    print(loaded())
 retislack.run_pipeline
 print(loaded())
 retislack.brute_force
 print(loaded())
-"""
-    start, pipeline, oracle = map(ast.literal_eval, _run(script))
-    assert start == ["retislack", "retislack.circuit", "retislack.power"]
-    stages = ["retislack.mcf", "retislack.recovery", "retislack.retime",
-              "retislack.transform"]
-    assert pipeline == sorted(start + stages)
-    assert oracle == sorted(pipeline + ["retislack.exact"])
-
-
-def test_stage_modules_resolve_as_attributes_without_an_import():
-    # perfbench reaches rs.recovery, rs.mcf and rs.transform straight after
-    # a fresh `import retislack`
-    script = """
-import retislack
 print(retislack.recovery.verify_result.__module__,
       retislack.mcf.solve_mcf.__module__, retislack.transform.expand.__module__)
 """
-    assert _run(script) == ["retislack.recovery retislack.mcf retislack.transform"]
+    *sets, modules = _run(script)
+    start, sta, retime, pipeline, oracle = map(ast.literal_eval, sets)
+    assert start == ["retislack", "retislack.circuit", "retislack.power"]
+    assert sta == sorted(start + ["retislack.cli"])
+    assert retime == sorted(sta + ["retislack.retime"])
+    stages = ["retislack.mcf", "retislack.recovery", "retislack.transform"]
+    assert pipeline == sorted(retime + stages)
+    assert oracle == sorted(pipeline + ["retislack.exact"])
+    assert modules == "retislack.recovery retislack.mcf retislack.transform"
