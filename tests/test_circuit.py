@@ -120,7 +120,9 @@ def test_parse_errors():
     ("gate a 1\ngate x! 2\n", 2, lambda: Gate(1, "x!", 2)),
     ("gate a -3\n", 1, lambda: Gate(0, "a", -3)),
     ("gate a 1\ngate b 1\nedge a b -1\n", 3, lambda: Edge(0, 1, -1)),
-], ids=["bad_name", "negative_delay", "negative_ff_count"])
+    ("gate a 1\ngate a 2\n", 2,
+     lambda: Circuit((Gate(0, "a", 1), Gate(1, "a", 2)), ())),
+], ids=["bad_name", "negative_delay", "negative_ff_count", "duplicate_name"])
 def test_parse_reports_the_record_constructors_message(text, line, build):
     with pytest.raises(CircuitError) as direct:
         build()
@@ -333,6 +335,8 @@ def test_generate_random_validates():
         assert c.n == n
         assert all(e.w >= 0 for e in c.edges)
         sta(c, sum(c.delays))  # would raise on a combinational cycle
+    with pytest.raises(ValueError, match="ff_prob"):
+        generate_random(5, ff_prob=1.5)
 
 
 def test_generate_random_stops_once_every_pair_has_an_edge():

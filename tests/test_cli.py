@@ -385,11 +385,14 @@ def test_bench_footer_rows_leave_unset_fields_blank(tmp_path, capsys):
 
 def test_bench_directory_and_csv_file(tmp_path, capsys):
     write(tmp_path, "ring3.ckt", RING3_TEXT)
-    csv_path = tmp_path / "bench.csv"
-    assert main(["bench", "--dir", str(tmp_path), "--check",
-                 "--csv", str(csv_path)]) == 0
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[1].startswith("ring3,3,3,5,300,300,")
+    # the fixtures' first row is the Leiserson-Saxe correlator, 24 -> Tmin 13
+    for path, first_row in ((tmp_path, "ring3,3,3,5,300,300,"),
+                            (ROOT / "fixtures", "correlator,8,11,13,")):
+        csv_path = tmp_path / "bench.csv"
+        assert main(["bench", "--dir", str(path), "--check",
+                     "--csv", str(csv_path)]) == 0
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[1].startswith(first_row)
 
 
 def test_bench_zero_optimum_power(tmp_path, capsys):

@@ -366,8 +366,12 @@ def test_pipeline_prices_a_gate_with_no_fanin():
 
 
 def test_pipeline_rejects_period_below_minimum(ring3):
+    curves = curves_for(ring3)
     with pytest.raises(InfeasiblePeriodError, match="minimum"):
-        run_pipeline(ring3, curves_for(ring3), T=4)
+        run_pipeline(ring3, curves, T=4)
+    # finalize called directly: no probe down to level 0 meets T
+    with pytest.raises(InfeasiblePeriodError, match="even at minimum slack$"):
+        finalize(ring3, 4, curves, snap_levels([5, 5, 5], curves, ring3.delays))
 
 
 @pytest.mark.parametrize("T", [7.5, True], ids=["float", "bool"])
@@ -581,6 +585,10 @@ def test_verify_result_catches_corruption(ring3):
     bad = BudgetResult(res.assignment, res.retiming, res.period,
                        res.achieved_period + 1)
     with pytest.raises(RecoveryError, match="achieved period"):
+        verify_result(ring3, bad)
+    bad = BudgetResult(res.assignment, res.retiming, res.achieved_period - 1,
+                       res.achieved_period)
+    with pytest.raises(RecoveryError, match="period violated"):
         verify_result(ring3, bad)
 
 
