@@ -315,7 +315,7 @@ def solve_mcf(net: FlowNetwork) -> FlowSolution:
                 for v in range(n):
                     p[v] += d[v]
                 return True
-            if _parent_cycle(parent, nxt):
+            if _parent_cycle(parent, nxt) is not None:
                 return False
             q = nxt
         return False

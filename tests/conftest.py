@@ -1,11 +1,18 @@
 """Shared fixtures: small hand-built circuits and power curves."""
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from retislack import make_curve, parse_circuit
 from retislack.power import breakpoints
 from retislack.transform import DualGraph
+
+# the benchmark's seeded inputs: tests draw their 1-7-level curves with its
+# check_mixed generator, so both read the same curves for the same seed
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import mixed_curve
 
 # three-gate ring: one combinational edge, two FF edges
 RING3_TEXT = """\

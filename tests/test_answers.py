@@ -11,8 +11,7 @@ import random
 
 from retislack import generate_random, make_curve, run_pipeline
 from retislack.recovery import min_slack_period
-from conftest import CURVE4_PAIRS, curves_for
-from test_mcf import _mixed_curve
+from conftest import CURVE4_PAIRS, curves_for, mixed_curve
 
 ANSWERS_DIGEST = "526a23a4f4d671a91f0a1a9e50ab92ba69120ef78c693ad472087d9891f6fae5"
 
@@ -27,7 +26,7 @@ def corpus():
             rng = random.Random(seed * 1000 + n)
             for kind, curves in (
                     ("default", curves_for(c, CURVE4_PAIRS)),
-                    ("mixed", {j: make_curve(_mixed_curve(rng)) for j in range(c.n)})):
+                    ("mixed", {j: make_curve(mixed_curve(rng)) for j in range(c.n)})):
                 tmin, _ = min_slack_period(c, curves)
                 for T in (tmin, -(-tmin * 13 // 10)):
                     yield f"s{seed}-n{n}-{kind}-T{T}", c, curves, T

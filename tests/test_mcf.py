@@ -10,7 +10,7 @@ from retislack.mcf import (FlowSolution, SolverError, _live_arcs,
                            solve_mcf, ssp_oracle)
 from retislack.transform import FlowNetwork, expand, split_graph
 from retislack.recovery import min_slack_period
-from conftest import curves_for
+from conftest import curves_for, mixed_curve
 
 
 def verify_circulation(net, sol):
@@ -352,23 +352,6 @@ def test_oracle_guard_rejects_negative_reduced_cost():
         _raise_potentials(_Residual(net), [0, 3], [1, -1])
 
 
-def _mixed_curve(rng):
-    """A convex curve of 1 to 7 levels with integer slopes (the curve of
-    the check_mixed benchmark workload)."""
-    levels = rng.randint(1, 7)
-    slacks = [0]
-    for _ in range(levels - 1):
-        slacks.append(slacks[-1] + rng.randint(1, 8))
-    slopes = sorted((rng.randint(1, 12) for _ in range(levels - 1)), reverse=True)
-    power = rng.randint(1, 20) + sum(
-        b * (slacks[q + 1] - slacks[q]) for q, b in enumerate(slopes))
-    pairs = [[0, power]]
-    for q, b in enumerate(slopes):
-        power -= b * (slacks[q + 1] - slacks[q])
-        pairs.append([slacks[q + 1], power])
-    return pairs
-
-
 def test_oracle_matches_on_mixed_curve_pipeline_networks():
     rng = random.Random(6060)
     for i in range(30):
@@ -376,7 +359,7 @@ def test_oracle_matches_on_mixed_curve_pipeline_networks():
                             ff_prob=0.4, seed=6000 + i)
         names = [line.split()[1] for line in render_circuit(c).splitlines()
                  if line.startswith("gate ")]
-        curves = load_curves(json.dumps({g: _mixed_curve(rng) for g in names}), c)
+        curves = load_curves(json.dumps({g: mixed_curve(rng) for g in names}), c)
         tmin, _ = min_slack_period(c, curves)
         g = split_graph(c, (13 * tmin + 9) // 10, curves)  # ceil(1.3 Tmin)
         net = expand(g)
@@ -400,7 +383,7 @@ def test_oracle_answer_does_not_depend_on_its_start():
         c = generate_random(rng.randint(6, 40), edge_density=2.2, ff_prob=0.4,
                             seed=2700 + i)
         names = [gate.name for gate in c.gates]
-        curves = load_curves(json.dumps({n: _mixed_curve(rng) for n in names}), c)
+        curves = load_curves(json.dumps({n: mixed_curve(rng) for n in names}), c)
         tmin, _ = min_slack_period(c, curves)
         g = split_graph(c, tmin + rng.randint(0, 6), curves)
         net = expand(g)
@@ -454,7 +437,7 @@ def test_reference_node_anchors_pipeline_flows(ring3):
     flows = 0
     for c in circuits:
         names = [gate.name for gate in c.gates]
-        mixed = load_curves(json.dumps({n: _mixed_curve(rng) for n in names}), c)
+        mixed = load_curves(json.dumps({n: mixed_curve(rng) for n in names}), c)
         for curves in (curves_for(c), mixed):
             tmin, _ = min_slack_period(c, curves)
             for T in (tmin, (13 * tmin + 9) // 10):

@@ -20,8 +20,7 @@ from retislack.recovery import (K, BudgetResult, InfeasiblePeriodError,
                                 verify_result)
 from retislack.retime import retimed_weights
 from retislack.transform import expand, split_graph
-from conftest import CURVE3_PAIRS, curves_for, fraction_breakpoints
-from test_mcf import _mixed_curve
+from conftest import CURVE3_PAIRS, curves_for, fraction_breakpoints, mixed_curve
 from test_retime import _union
 
 
@@ -192,7 +191,7 @@ def test_level_thresholds_match_the_scaled_snap(curve4):
     rng = random.Random(37)
     cs = [make_curve([(0, 9)]), make_curve([(3, 9)]), curve4,
           make_curve(CURVE3_PAIRS), make_curve([(2, 50), (5, 20), (13, 4)])]
-    cs += [make_curve(_mixed_curve(rng)) for _ in range(30)]
+    cs += [make_curve(mixed_curve(rng)) for _ in range(30)]
     for cur in cs:
         s0 = cur.slacks[0]
         for s in sorted({s0 - 1, s0, s0 + 1, *cur.slacks, cur.slacks[-1] + 3}):
@@ -290,7 +289,7 @@ def test_finalize_matches_a_fraction_keyed_reference(monkeypatch):
     rng = random.Random(41)
     for seed in range(60):
         c = _random_odd_circuit(rng, 6000 + seed)
-        pick = _coprime_curve if seed % 2 else (lambda r: make_curve(_mixed_curve(r)))
+        pick = _coprime_curve if seed % 2 else (lambda r: make_curve(mixed_curve(r)))
         curves = {j: pick(rng) for j in range(c.n)}
         T = min_slack_period(c, curves)[0] + rng.randint(0, 12)
         cs = [curves[j] for j in range(c.n)]

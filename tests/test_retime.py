@@ -56,13 +56,28 @@ def test_cycle_ff_count_invariant():
             assert before == after
 
 
-def test_feasible_retiming_ring3():
+def test_feasible_retiming_ring3(monkeypatch):
     c = parse_circuit("gate a 2\ngate b 3\ngate c 4\n"
                       "edge a b 0\nedge b c 1\nedge c a 1\n")
     r = feasible_retiming(c, 5)
     assert r is not None
     assert max(sta(c, 5, weights=retimed_weights(c, r)).arrival) <= 5
     assert feasible_retiming(c, 4) is None
+    # two gates of delay 4 on a one-FF loop: at T = 4, b is relabeled, then
+    # a, whose pointer closes the cycle a -> b -> a at node 0, a walk of
+    # delay 8 over one FF, so the probe's bound is 8, not T + 1
+    loop = parse_circuit("gate a 4\ngate b 4\nedge a b 0\nedge b a 1\n")
+    assert retime._parent_cycle([1, 0], [0]) == 0
+    assert retime._feas(loop, 4) == (None, 8)
+    # min_period times the loop once and probes T = 6 only, whose bound 8
+    # meets the unretimed period; the probe re-times b's cone once
+    probes = []
+    real = retime._feas
+    monkeypatch.setattr(retime, "_feas",
+                        lambda *args, **kw: probes.append(args[1]) or real(*args, **kw))
+    rounds = _counting_rounds(monkeypatch)
+    assert min_period(loop) == (8, (0, 0))
+    assert probes == [6] and len(rounds) == 2
 
 
 def test_feasible_retiming_accepts_already_met(ring3):
@@ -121,14 +136,64 @@ def test_feasible_retiming_matches_exhaustive_enumeration():
                 assert max(sta(c, T, weights=weights).arrival) <= T
 
 
+def _bisected_min_period(c, eff):
+    """The reference search: plain bisection over feasible_retiming between
+    the largest delay and the unretimed period, and the witness at the end."""
+    lo, hi = max(eff), max(arrivals(c, eff))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible_retiming(c, mid, eff) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, feasible_retiming(c, lo, eff)
+
+
+def _assert_bounds_below(c, eff, tmin):
+    """Every infeasible period from one below the largest delay up gets a
+    bound above it and at most tmin; returns how many bounds pass T + 1."""
+    jumps = 0
+    for T in range(max(eff) - 1, tmin):
+        r, bound = retime._feas(c, T, eff)
+        assert r is None and T < bound <= tmin, (T, bound, tmin)
+        jumps += bound > T + 1
+    return jumps
+
+
 def test_min_period_matches_oracle_on_odd_inputs():
+    # a failed probe's bound lies in (T, Tmin], and min_period's (Tmin,
+    # witness) is the plain bisection's
+    jumps = 0
     for c in _odd_circuits():
         t, r = min_period(c)
         assert t == oracle_min_period(c)
         assert min(r) == 0  # normalized, like every witness
         assert max(sta(c, t, weights=retimed_weights(c, r)).arrival) <= t
+        jumps += _assert_bounds_below(c, c.delays, t)
+        assert (t, r) == _bisected_min_period(c, c.delays)
+    assert jumps > 0
     # no edge: the largest delay is the period, witnessed by the zero labels
     assert min_period(parse_circuit("gate a 2\ngate b 3\n")) == (3, (0, 0))
+
+
+def test_min_period_bounds_and_witness_match_plain_bisection():
+    # on the random cases and the seed-42 circuits at 650 and 2600 gates
+    # (raw delays, the level-0 delays under fixtures/curves4.json): a failed
+    # probe's bound lies in (T, Tmin], with Tmin from the exhaustive oracle
+    # up to 8 gates and from the plain bisection above that, and
+    # min_period's (Tmin, witness) is the plain bisection's
+    cases = [(c, eff) for c, eff, _ in _random_cases()]
+    cases += [(c, c.delays) for c in (
+        generate_random(n, edge_density=2.2, ff_prob=0.4, seed=42) for n in (650, 2600))]
+    jumps = oracled = 0
+    for c, eff in cases:
+        ref = _bisected_min_period(c, eff)
+        if c.n <= 8:
+            assert ref[0] == oracle_min_period(c, eff)
+            oracled += 1
+        jumps += _assert_bounds_below(c, eff, ref[0])
+        assert min_period(c, eff) == ref
+    assert oracled > 30 and jumps > 400
 
 
 def _relabel_rounds(c, T, eff, rounds):
@@ -147,10 +212,9 @@ def _relabel_rounds(c, T, eff, rounds):
     return ok, tuple(x - base for x in r)
 
 
-def test_feas_matches_round_by_round_relabeling():
-    # the probe gives the same answer as plain rounds and, when feasible, the
-    # same witness, which is a legal retiming; the odd circuits bring
-    # self-loops and edges whose two ends violate T in the same round
+def _random_cases():
+    """150 random circuits of 1 to 40 gates, each with granted slack and a
+    period between its largest effective delay and its unretimed period."""
     rng = random.Random(7)
     cases = []
     for seed in range(150):
@@ -160,6 +224,14 @@ def test_feas_matches_round_by_round_relabeling():
                             seed=seed)
         eff = [d + rng.choice((0, 0, 2, 7)) for d in c.delays]
         cases.append((c, eff, rng.randint(max(eff), max(arrivals(c, eff)))))
+    return cases
+
+
+def test_feas_matches_round_by_round_relabeling():
+    # the probe gives the same answer as plain rounds and, when feasible, the
+    # same witness, which is a legal retiming; the odd circuits bring
+    # self-loops and edges whose two ends violate T in the same round
+    cases = _random_cases()
     for c in _odd_circuits():
         cases += [(c, c.delays, T) for T in range(max(c.delays),
                                                   max(arrivals(c, c.delays)) + 1)]

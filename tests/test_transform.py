@@ -13,8 +13,7 @@ from retislack import (Circuit, CurveError, Edge, PowerSlackCurve,
 from retislack.mcf import solve_mcf
 from retislack.transform import FlowNetwork, TransformError, expand, split_graph
 from conftest import (CURVE3_PAIRS, CURVE4_PAIRS, curves_for, fraction_breakpoints,
-                      one_edge_graph)
-from test_mcf import _mixed_curve
+                      mixed_curve, one_edge_graph)
 
 
 def _big(g, net):
@@ -300,9 +299,9 @@ def _random_curves(kind, c, rng):
     if kind == 0:  # one shared curve object
         return curves_for(c)
     if kind == 1:  # per-gate 1-7-level curves, no two objects alike
-        return {j: make_curve(_mixed_curve(rng)) for j in range(c.n)}
+        return {j: make_curve(mixed_curve(rng)) for j in range(c.n)}
     if kind == 2:  # a few mixed curves, as shared objects and as equal copies
-        pool = [_mixed_curve(rng) for _ in range(3)]
+        pool = [mixed_curve(rng) for _ in range(3)]
         objs = [make_curve(pairs) for pairs in pool]
         return {j: rng.choice(objs) if rng.random() < 0.5
                 else make_curve(rng.choice(pool)) for j in range(c.n)}
