@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.]+")
+_SHAPES = {"edge": "edge <src> <dst> <ff_count>", "gate": "gate <name> <delay>"}
 
 
 class CircuitError(ValueError):
@@ -75,13 +76,14 @@ class Circuit:
     def __post_init__(self):
         if not self.gates:
             raise CircuitError("no gates")
-        names = set()
+        names: dict[str, int] = {}
         for q, g in enumerate(self.gates):
             if type(g.id) is not int or g.id != q:
                 raise CircuitError(f"gate ids must be 0..{len(self.gates) - 1} in order")
             if g.name in names:
                 raise CircuitError(f"duplicate gate name {g.name}")
-            names.add(g.name)
+            names[g.name] = q
+        object.__setattr__(self, "_name_index", names)  # gate id by name
         n = len(self.gates)
         for e in self.edges:
             if not (type(e.src) is type(e.dst) is int and 0 <= e.src < n and 0 <= e.dst < n):
@@ -114,10 +116,6 @@ class Circuit:
 
     def gate_id(self, name: str) -> int:
         return self._name_index[name]
-
-    @cached_property
-    def _name_index(self) -> dict[str, int]:
-        return {g.name: g.id for g in self.gates}
 
 
 @dataclass(frozen=True)
@@ -241,13 +239,6 @@ def sta(c: Circuit, T: int, eff=None, weights=None) -> TimingReport:
     return TimingReport(tuple(a), tuple(g), tuple(s))
 
 
-def _int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise CircuitError(f"bad {what} {token!r}") from None
-
-
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format.
 
@@ -259,42 +250,42 @@ def parse_circuit(text: str) -> Circuit:
     edges: list[Edge] = []
     names: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.partition("#")[0].split()
+        parts = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not parts:
             continue
+        kind = parts[0]
         try:
-            match parts:  # edge lines are the most common
-                case ["edge", src, dst, w]:
-                    i = names.get(src)
-                    if i is None:
-                        raise CircuitError(f"unknown gate {src!r}")
-                    j = names.get(dst)
-                    if j is None:
-                        raise CircuitError(f"unknown gate {dst!r}")
-                    edges.append(Edge(i, j, _int(w, "FF count")))
-                case ["gate", name, delay]:
-                    if name in names:
-                        raise CircuitError(f"duplicate gate name {name}")
-                    names[name] = len(gates)
-                    gates.append(Gate(len(gates), name, _int(delay, "delay")))
-                case ["edge", *_]:
-                    raise CircuitError("expected 'edge <src> <dst> <ff_count>'")
-                case ["gate", *_]:
-                    raise CircuitError("expected 'gate <name> <delay>'")
-                case [kind, *_]:
-                    raise CircuitError(f"unknown record {kind!r}")
+            if kind == "edge" and len(parts) == 4:  # the most common record
+                _, src, dst, w = parts
+                i = names.get(src)
+                if i is None:
+                    raise CircuitError(f"unknown gate {src!r}")
+                j = names.get(dst)
+                if j is None:
+                    raise CircuitError(f"unknown gate {dst!r}")
+                edges.append(Edge(i, j, int(w)))
+            elif kind == "gate" and len(parts) == 3:
+                _, name, delay = parts
+                if name in names:
+                    raise CircuitError(f"duplicate gate name {name}")
+                names[name] = len(gates)
+                gates.append(Gate(len(gates), name, int(delay)))
+            elif kind in _SHAPES:
+                raise CircuitError(f"expected {_SHAPES[kind]!r}")
+            else:
+                raise CircuitError(f"unknown record {kind!r}")
         except CircuitError as e:
             raise CircuitError(f"line {ln}: {e}") from None
+        except ValueError:  # int() of the record's last token
+            what = "FF count" if kind == "edge" else "delay"
+            raise CircuitError(f"line {ln}: bad {what} {parts[-1]!r}") from None
     return Circuit(tuple(gates), tuple(edges))
 
 
 def render_circuit(c: Circuit) -> str:
     """Canonical text form; parse(render(c)) == c."""
-    out = []
-    for g in c.gates:
-        out.append(f"gate {g.name} {g.delay}")
-    for e in c.edges:
-        out.append(f"edge {c.gates[e.src].name} {c.gates[e.dst].name} {e.w}")
+    out = [f"gate {g.name} {g.delay}" for g in c.gates]
+    out += [f"edge {c.gates[e.src].name} {c.gates[e.dst].name} {e.w}" for e in c.edges]
     return "\n".join(out) + "\n"
 
 
@@ -310,8 +301,7 @@ def generate_random(n_gates: int, edge_density: float = 2.0, ff_prob: float = 0.
     if edge_density < 0:
         raise ValueError("edge_density must be nonnegative")
     rng = random.Random(seed)
-    lo, hi = delay_range
-    gates = tuple(Gate(i, f"g{i}", rng.randint(lo, hi)) for i in range(n_gates))
+    gates = tuple(Gate(i, f"g{i}", rng.randint(*delay_range)) for i in range(n_gates))
     target = int(round(edge_density * n_gates))
     seen = set()
     edges = []

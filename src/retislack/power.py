@@ -61,8 +61,17 @@ _set_slacks, _set_powers = _slot_setters(PowerSlackCurve)
 
 
 def make_curve(pairs) -> PowerSlackCurve:
-    """Curve from (slack, power) pairs."""
-    return PowerSlackCurve(tuple(s for s, _ in pairs), tuple(p for _, p in pairs))
+    """Curve from (slack, power) pairs: a list or tuple whose items are
+    two-element lists or tuples, unpacked in one pass."""
+    if type(pairs) is not list and type(pairs) is not tuple:
+        raise CurveError("not a list of [slack, power] pairs")
+    slacks, powers = [], []
+    for pair in pairs:
+        if type(pair) is not list and type(pair) is not tuple or len(pair) != 2:
+            raise CurveError(f"level {len(slacks) + 1} is not a [slack, power] pair")
+        slacks.append(pair[0])
+        powers.append(pair[1])
+    return PowerSlackCurve(tuple(slacks), tuple(powers))
 
 
 def breakpoints(curve: PowerSlackCurve) -> list[tuple[int, int]]:
@@ -89,7 +98,7 @@ def load_curves(text: str, c: Circuit) -> dict[int, PowerSlackCurve]:
     for name, pairs in doc.items():
         try:
             parsed[name] = make_curve(pairs)
-        except (CurveError, TypeError, ValueError) as e:
+        except CurveError as e:
             raise CurveError(f"curve for {name!r}: {e}") from None
     default = parsed.get("default")
     out: dict[int, PowerSlackCurve] = {}
@@ -98,8 +107,7 @@ def load_curves(text: str, c: Circuit) -> dict[int, PowerSlackCurve]:
         if cur is None:
             raise CurveError(f"no curve for gate {g.name} and no default")
         out[g.id] = cur
-    names = {g.name for g in c.gates}
     for name in parsed:
-        if name != "default" and name not in names:
+        if name != "default" and name not in c._name_index:
             raise CurveError(f"curve file names unknown gate {name!r}")
     return out

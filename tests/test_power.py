@@ -119,3 +119,76 @@ def test_load_curves_errors():
                 '[[0, "100"], [10, "60"]]'):
         with pytest.raises(CurveError, match="curve for 'a': .*must be integers"):
             load_curves('{"a": %s}' % bad, c)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('[5, 6]', "level 1 is not a [slack, power] pair"),
+    ('null', "not a list of [slack, power] pairs"),
+    ('"ab"', "not a list of [slack, power] pairs"),
+    ('{"0": 10}', "not a list of [slack, power] pairs"),
+    ('["ab"]', "level 1 is not a [slack, power] pair"),
+    ('[{"0": 10, "5": 4}]', "level 1 is not a [slack, power] pair"),
+    ('[[0, 10, 5], [5, 4]]', "level 1 is not a [slack, power] pair"),
+    ('[[0, 10], [5]]', "level 2 is not a [slack, power] pair"),
+], ids=["ints", "null", "string", "object", "string_pair", "object_pair",
+        "three_values", "one_value"])
+def test_load_curves_names_a_malformed_level(entry, message):
+    # each shape is reported as such, not by Python's unpacking error, and
+    # a two-character string or a two-key object is not read as a pair
+    c = parse_circuit("gate a 1\n")
+    with pytest.raises(CurveError) as err:
+        load_curves('{"a": %s}' % entry, c)
+    assert str(err.value) == f"curve for 'a': {message}"
+
+
+def _two_pass(pairs):
+    """The reference reader: one generator pass for the slacks, one for
+    the powers."""
+    return PowerSlackCurve(tuple(s for s, _ in pairs), tuple(p for _, p in pairs))
+
+
+def _outcome(read, pairs):
+    """The curve `read` makes of `pairs`, or what it raises: a CurveError's
+    message, or any other error's type."""
+    try:
+        return read(pairs)
+    except CurveError as e:
+        return str(e)
+    except (TypeError, ValueError) as e:
+        return type(e)
+
+
+def test_one_pass_reader_matches_the_two_pass_reference():
+    # make_curve gives the reference's curve or its CurveError message on
+    # every pair list; a wrong-length pair, which the reference fails to
+    # unpack, is the one new message
+    rng = random.Random(11)
+    curves, messages = 0, set()
+    for _ in range(3000):
+        n = rng.randint(0, 5)
+        cols = [sorted(rng.sample(range(12), n)),
+                sorted((rng.randint(0, 30) for _ in range(n)), reverse=True)]
+        kind = rng.choice(("valid", "ragged", "non-integer", "bool", "shuffled"))
+        if kind == "shuffled":  # slacks out of order, or power that rises
+            rng.shuffle(cols[rng.randrange(2)])
+        pairs = [rng.choice((list, tuple))(sp) for sp in zip(*cols)]
+        if n and kind == "ragged":
+            q = rng.randrange(n)
+            pairs[q] = rng.choice(([pairs[q][0]], [*pairs[q], 0], []))
+        elif n and kind in ("non-integer", "bool"):
+            q, k = rng.randrange(n), rng.randrange(2)
+            bad = rng.choice((0.5, "7", None)) if kind == "non-integer" else rng.random() < 0.5
+            pairs[q] = [bad, pairs[q][1]] if k == 0 else [pairs[q][0], bad]
+        got, want = _outcome(make_curve, pairs), _outcome(_two_pass, pairs)
+        if isinstance(got, str) and got.endswith("is not a [slack, power] pair"):
+            assert kind == "ragged" and want is ValueError, pairs
+        else:
+            assert got == want, pairs
+        if isinstance(got, PowerSlackCurve):
+            curves += 1
+        else:
+            messages.add(got)
+    assert curves > 100
+    for part in ("is not a [slack, power] pair", "empty curve", "must be integers",
+                 "not strictly increasing", "increasing power", "non-convex"):
+        assert any(part in m for m in messages), part
